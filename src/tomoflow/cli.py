@@ -2,7 +2,7 @@
 
 Every command takes --out and writes its products there along with a
 manifest JSON recording the parameters and seeds that produced them; with
---threads 1 and fixed seeds, reruns reproduce the data files bitwise.
+fixed seeds, reruns reproduce the data files bitwise for any --threads value.
 Metric reports include a wall-clock runtime_seconds field by default, which
 is inherently machine-dependent; pass --no-timings to omit it when byte
 stable reports are needed.
@@ -400,7 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--threads", type=int, default=None, help="worker thread cap (1 = bitwise deterministic)")
+        sp.add_argument(
+            "--threads", type=int, default=None,
+            help="thread cap (>= 1), accepted and validated; the projector's sparse "
+                 "mat-vec is single-threaded, so results are bitwise identical for any value",
+        )
 
     sp = sub.add_parser("simulate", help="generate a phantom and its measured sinogram")
     sp.add_argument("--config", required=True, help="JSON: phantom, geometry, noise, seed")

@@ -1,13 +1,19 @@
-"""Matched matrix-free projection operators.
+"""Matched projection operators on one cached sparse system matrix.
 
 forward_project implements the line-integral operator A with Joseph's method:
 for each ray the driving axis is the dominant component of the unit direction,
 the ray is sampled once per voxel slice along that axis, and the remaining
-axes are handled by linear interpolation.  back_project applies the exact
-algebraic transpose: the same slices, the same interpolation weights, scattered
-instead of gathered.  Both directions share one tap-computation routine, so
-``<Ax, y> == <x, A^T y>`` holds to summation-order rounding, with no separate
-"pixel-driven" code path that could break it.
+axes are handled by linear interpolation.  The interpolation weights of every
+ray, times its step length, are the rows of a scipy CSR matrix that is built
+once per (geometry, grid) pair and cached.  A is a sparse mat-vec with that
+matrix and back_project applies A^T as the product with its transpose, which
+shares the matrix's arrays.  Every caller (the array functions, bind,
+dense_matrix, op_norm_estimate) uses the same matrix, so
+``<Ax, y> == <x, A^T y>`` holds by construction, up to summation-order
+rounding, and no separate "pixel-driven" code path can break it.
+
+The mat-vec runs on one thread.  Thread caps are validated and otherwise
+ignored, so results are bitwise identical for every thread count.
 
 Out-of-grid interpolation taps are dropped (zero padding), never clamped,
 which keeps A linear.  All arithmetic is double precision; single precision
@@ -16,10 +22,10 @@ is a file-format concern only.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ShapeMismatchError
 from .geometry import (
@@ -30,18 +36,15 @@ from .geometry import (
     ray_bundle,
 )
 
-# Rays are processed in fixed-size chunks.  Chunking bounds the size of the
-# intermediate tap arrays and is the unit of parallelism: chunks are disjoint
-# and the reduction runs in chunk order, so results are bitwise identical for
-# every thread count.
-_RAY_CHUNK_2D = 32768
-_RAY_CHUNK_3D = 8192
-
 _default_threads = 1
 
 
 def set_default_threads(n: int) -> None:
-    """Set the worker-thread count used when an operation gets threads=None."""
+    """Set the thread cap used when an operation gets threads=None.
+
+    The cap is validated and recorded.  The projector's sparse mat-vec runs on
+    one thread, so no cap changes a result.
+    """
     global _default_threads
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ValueError(f"thread count must be a positive integer, got {n!r}")
@@ -52,12 +55,11 @@ def get_default_threads() -> int:
     return _default_threads
 
 
-def _resolve_threads(threads) -> int:
+def _check_threads(threads) -> None:
     if threads is None:
-        return _default_threads
+        return
     if not isinstance(threads, (int, np.integer)) or isinstance(threads, bool) or threads < 1:
         raise ValueError(f"thread count must be a positive integer, got {threads!r}")
-    return int(threads)
 
 
 @dataclass
@@ -175,90 +177,94 @@ def _taps_for_axis(grid: VolumeGrid, org: np.ndarray, dirs: np.ndarray, axis: in
     return lins, ws, scale
 
 
-def _project_chunk(vals_flat, grid, org, dirs):
-    out = np.zeros(len(org))
+# System matrices by (geometry, grid).  Both keys are frozen dataclasses, so
+# equal setups share one matrix however often they are rebuilt; an entry
+# lives as long as the process.
+_MATRICES: dict[tuple[Geometry, VolumeGrid], sp.csr_matrix] = {}
+
+# Rays whose taps are expanded at once while a matrix is built.  The build's
+# transient memory is then a chunk's taps plus the finished matrix, not the
+# taps of every ray.
+_BUILD_CHUNK_RAYS = 4096
+
+
+def _matrix_rows(grid: VolumeGrid, org: np.ndarray, dirs: np.ndarray) -> sp.csr_matrix:
+    """Rows of A for a run of rays: scaled Joseph weights, zero taps dropped.
+
+    Each ray's taps fill one row of a dense (rays, taps) table, padded with
+    zeros where its driving axis has fewer slices, so the kept entries come
+    out in CSR order.
+    """
+    n_taps = 2 ** (grid.ndim - 1) * max(grid.shape)
+    weights = np.zeros((len(org), n_taps))
+    cols = np.zeros((len(org), n_taps), dtype=np.int64)
     driving = np.argmax(np.abs(dirs), axis=1)
     for axis in range(grid.ndim):
-        gsel = driving == axis
-        if not gsel.any():
+        gsel = np.flatnonzero(driving == axis)
+        if len(gsel) == 0:
             continue
         lins, ws, scale = _taps_for_axis(grid, org[gsel], dirs[gsel], axis)
-        acc = None
-        for lin, w in zip(lins, ws):
-            contrib = vals_flat[lin] * w
-            acc = contrib if acc is None else acc + contrib
-        out[gsel] = acc.sum(axis=1) * scale
-    return out
+        k = len(lins) * grid.shape[axis]
+        weights[gsel, :k] = (np.stack(ws, axis=-1) * scale[:, None, None]).reshape(len(gsel), k)
+        cols[gsel, :k] = np.stack(lins, axis=-1).reshape(len(gsel), k)
+    keep = weights != 0.0
+    indptr = np.zeros(len(org) + 1, dtype=np.int64)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    return sp.csr_matrix(
+        (weights[keep], cols[keep], indptr), shape=(len(org), grid.n_voxels)
+    )
 
 
-def _backproject_chunk(p_chunk, grid, org, dirs):
-    vol = np.zeros(grid.n_voxels)
-    driving = np.argmax(np.abs(dirs), axis=1)
-    for axis in range(grid.ndim):
-        gsel = driving == axis
-        if not gsel.any():
-            continue
-        lins, ws, scale = _taps_for_axis(grid, org[gsel], dirs[gsel], axis)
-        coef = p_chunk[gsel] * scale
-        idx = np.concatenate([lin.ravel() for lin in lins])
-        wts = np.concatenate([(w * coef[:, None]).ravel() for w in ws])
-        vol += np.bincount(idx, weights=wts, minlength=vol.size)
-    return vol
+def _system_matrix(geom: Geometry, grid: VolumeGrid) -> sp.csr_matrix:
+    """The (n_rays, n_voxels) matrix of A, built once per (geom, grid).
+
+    Its arrays are read-only: every caller shares them.
+    """
+    key = (geom, grid)
+    mat = _MATRICES.get(key)
+    if mat is None:
+        org, dirs = ray_bundle(geom)
+        bounds = range(_BUILD_CHUNK_RAYS, len(org), _BUILD_CHUNK_RAYS)
+        mat = sp.vstack(
+            [
+                _matrix_rows(grid, o, d)
+                for o, d in zip(np.split(org, bounds), np.split(dirs, bounds))
+            ],
+            format="csr",
+        )
+        for arr in (mat.data, mat.indices, mat.indptr):
+            arr.flags.writeable = False
+        _MATRICES[key] = mat
+    return mat
 
 
-def _chunk_bounds(n_rays: int, ndim: int):
-    chunk = _RAY_CHUNK_2D if ndim == 2 else _RAY_CHUNK_3D
-    return [(lo, min(lo + chunk, n_rays)) for lo in range(0, n_rays, chunk)]
+def _apply(mat: sp.csr_matrix, values: np.ndarray) -> np.ndarray:
+    return mat @ np.asarray(values, dtype=np.float64).reshape(-1)
 
 
-def _map_chunks(fn, bounds, threads):
-    if threads <= 1 or len(bounds) <= 1:
-        return [fn(lo, hi) for lo, hi in bounds]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, lo, hi) for lo, hi in bounds]
-        return [f.result() for f in futures]
+def _apply_adjoint(mat: sp.csr_matrix, p: np.ndarray, grid: VolumeGrid) -> np.ndarray:
+    p_flat = np.asarray(p, dtype=np.float64).reshape(-1)
+    if len(p_flat) != mat.shape[0]:
+        raise ShapeMismatchError(
+            f"expected {mat.shape[0]} ray values, got {len(p_flat)}"
+        )
+    return (mat.T @ p_flat).reshape(grid.shape)
 
 
 def forward_project_array(
     values: np.ndarray, grid: VolumeGrid, geom: Geometry, threads=None
 ) -> np.ndarray:
     """Array-level forward projection; returns flat ray integrals, length R."""
-    threads = _resolve_threads(threads)
-    vals_flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
-    org, dirs = ray_bundle(geom)
-    bounds = _chunk_bounds(len(org), grid.ndim)
-    parts = _map_chunks(
-        lambda lo, hi: _project_chunk(vals_flat, grid, org[lo:hi], dirs[lo:hi]),
-        bounds,
-        threads,
-    )
-    out = np.empty(len(org))
-    for (lo, hi), part in zip(bounds, parts):
-        out[lo:hi] = part
-    return out
+    _check_threads(threads)
+    return _apply(_system_matrix(geom, grid), values)
 
 
 def back_project_array(
     p_values: np.ndarray, grid: VolumeGrid, geom: Geometry, threads=None
 ) -> np.ndarray:
     """Array-level exact adjoint; returns a volume-shaped array."""
-    threads = _resolve_threads(threads)
-    p_flat = np.ascontiguousarray(p_values, dtype=np.float64).reshape(-1)
-    org, dirs = ray_bundle(geom)
-    if len(p_flat) != len(org):
-        raise ShapeMismatchError(
-            f"sinogram has {len(p_flat)} entries but geometry defines {len(org)} rays"
-        )
-    bounds = _chunk_bounds(len(org), grid.ndim)
-    parts = _map_chunks(
-        lambda lo, hi: _backproject_chunk(p_flat[lo:hi], grid, org[lo:hi], dirs[lo:hi]),
-        bounds,
-        threads,
-    )
-    vol = np.zeros(grid.n_voxels)
-    for part in parts:
-        vol += part
-    return vol.reshape(grid.shape)
+    _check_threads(threads)
+    return _apply_adjoint(_system_matrix(geom, grid), p_values, grid)
 
 
 def _check_dims(geom: Geometry, grid: VolumeGrid):
@@ -289,74 +295,41 @@ def back_project(p: Sinogram, grid: VolumeGrid, threads=None) -> Volume:
 
 
 def dense_matrix(geom: Geometry, grid: VolumeGrid, threads=None) -> np.ndarray:
-    """Materialize A as a dense (N, M) matrix, one forward pass per voxel.
+    """Materialize A as a dense (N, M) matrix.
 
-    Only sensible at toy scale; used to cross-check the matrix-free operators.
+    Only sensible at toy scale; used to cross-check the operators.
     """
-    m = grid.n_voxels
-    n = geom.n_rays
-    mat = np.empty((n, m))
-    basis = np.zeros(m)
-    for j in range(m):
-        basis[j] = 1.0
-        mat[:, j] = forward_project_array(basis.reshape(grid.shape), grid, geom, threads)
-        basis[j] = 0.0
-    return mat
+    _check_threads(threads)
+    return _system_matrix(geom, grid).toarray()
 
 
 class BoundProjector:
-    """A and A^T bound to one (geometry, grid) pair with precomputed taps.
+    """A and A^T bound to one (geometry, grid) pair.
 
-    Repeated applications (iterative solvers, ODE dynamics, training) skip the
-    per-call tap arithmetic.  Uses the same tap routine as forward_project /
-    back_project, so the pair stays exactly adjoint.
+    Holds the pair's cached system matrix, so repeated applications
+    (iterative solvers, ODE dynamics, training) are one sparse mat-vec each.
+    forward_project / back_project use the same matrix, so all of them agree
+    exactly and the pair is adjoint by construction.
     """
 
     def __init__(self, geom: Geometry, grid: VolumeGrid):
         _check_dims(geom, grid)
         self.geom = geom
         self.grid = grid
-        org, dirs = ray_bundle(geom)
-        self.n_rays = len(org)
-        driving = np.argmax(np.abs(dirs), axis=1)
-        self._groups = []
-        for axis in range(grid.ndim):
-            gsel = np.flatnonzero(driving == axis)
-            if len(gsel) == 0:
-                continue
-            lins, ws, scale = _taps_for_axis(grid, org[gsel], dirs[gsel], axis)
-            idx = np.concatenate([lin.ravel() for lin in lins])
-            self._groups.append((gsel, lins, ws, scale, idx))
+        self.n_rays = geom.n_rays
+        self._matrix = _system_matrix(geom, grid)
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """A applied to a grid-shaped (or flat) array; returns flat rays."""
-        vals_flat = np.asarray(values, dtype=np.float64).reshape(-1)
-        out = np.zeros(self.n_rays)
-        for gsel, lins, ws, scale, _ in self._groups:
-            acc = None
-            for lin, w in zip(lins, ws):
-                contrib = vals_flat[lin] * w
-                acc = contrib if acc is None else acc + contrib
-            out[gsel] = acc.sum(axis=1) * scale
-        return out
+        return _apply(self._matrix, values)
 
     def adjoint(self, p: np.ndarray) -> np.ndarray:
         """A^T applied to flat (or detector-shaped) ray data; grid-shaped result."""
-        p_flat = np.asarray(p, dtype=np.float64).reshape(-1)
-        if len(p_flat) != self.n_rays:
-            raise ShapeMismatchError(
-                f"expected {self.n_rays} ray values, got {len(p_flat)}"
-            )
-        vol = np.zeros(self.grid.n_voxels)
-        for gsel, lins, ws, scale, idx in self._groups:
-            coef = p_flat[gsel] * scale
-            wts = np.concatenate([(w * coef[:, None]).ravel() for w in ws])
-            vol += np.bincount(idx, weights=wts, minlength=vol.size)
-        return vol.reshape(self.grid.shape)
+        return _apply_adjoint(self._matrix, p, self.grid)
 
 
 def bind(geom: Geometry, grid: VolumeGrid) -> BoundProjector:
-    """Precompute projection taps for repeated application on one setup."""
+    """A and A^T for repeated application on one setup."""
     return BoundProjector(geom, grid)
 
 

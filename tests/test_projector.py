@@ -1,14 +1,18 @@
 """Forward projector, exact adjoint, and operator norm estimation.
 
-The reference oracle below re-derives the 2D interpolating line integral
-directly from the ray description (march along the dominant axis, linear
-interpolation across the other, out-of-grid taps dropped) so the projector
-is checked against independent arithmetic, not against itself.
+The reference oracles below re-derive the 2D and 3D interpolating line
+integrals directly from the ray description (march along the dominant axis,
+linear or bilinear interpolation across the others, out-of-grid taps dropped)
+so the projector is checked against independent arithmetic, not against
+itself.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tomoflow import projector
 from tomoflow import (
     ShapeMismatchError,
     Sinogram,
@@ -45,6 +49,26 @@ def reference_integral_2d(values, grid, origin, direction):
             vox = (i, j + 1) if axis == 0 else (j + 1, i)
             sample += w_hi * values[vox]
         total += sample
+    return total * grid.voxel_size / abs(direction[axis])
+
+
+def reference_integral_3d(values, grid, origin, direction):
+    """Line integral of a 3D volume along one ray, re-derived from scratch."""
+    axis = int(np.argmax(np.abs(direction)))
+    o1, o2 = [a for a in range(3) if a != axis]
+    c0 = [grid.origin[a] - (grid.shape[a] - 1) / 2.0 * grid.voxel_size for a in range(3)]
+    total = 0.0
+    for i, c in enumerate(grid.axis_centers(axis)):
+        t = (c - origin[axis]) / direction[axis]
+        f1 = (origin[o1] + t * direction[o1] - c0[o1]) / grid.voxel_size
+        f2 = (origin[o2] + t * direction[o2] - c0[o2]) / grid.voxel_size
+        j1, j2 = int(np.floor(f1)), int(np.floor(f2))
+        for k1, w1 in ((j1, 1.0 - (f1 - j1)), (j1 + 1, f1 - j1)):
+            for k2, w2 in ((j2, 1.0 - (f2 - j2)), (j2 + 1, f2 - j2)):
+                if 0 <= k1 < grid.shape[o1] and 0 <= k2 < grid.shape[o2]:
+                    vox = [0, 0, 0]
+                    vox[axis], vox[o1], vox[o2] = i, k1, k2
+                    total += w1 * w2 * values[tuple(vox)]
     return total * grid.voxel_size / abs(direction[axis])
 
 
@@ -89,6 +113,23 @@ def test_forward_matches_reference_oracle():
             ray = ray_for(geom, i, j)
             want = reference_integral_2d(values, grid, ray.origin, ray.direction)
             assert p.values[i, j] == pytest.approx(want, abs=1e-10)
+
+
+def test_forward_matches_reference_oracle_3d():
+    # x- and y-driven rays cross different slice counts on this grid
+    rng = np.random.default_rng(12)
+    grid = VolumeGrid((7, 5, 6), 1.0, origin=(0.4, -0.3, 0.2))
+    values = rng.random(grid.shape)
+    geom = make_cone_geometry(8, 5, 7, 20.0, 10.0, 1.3)
+    p = forward_project(Volume(grid, values), geom)
+    driving = set()
+    for i in range(8):
+        for j, k in [(0, 0), (2, 3), (4, 6), (1, 5)]:
+            ray = ray_for(geom, i, (j, k))
+            driving.add(int(np.argmax(np.abs(ray.direction))))
+            want = reference_integral_3d(values, grid, ray.origin, ray.direction)
+            assert p.values[i, j, k] == pytest.approx(want, abs=1e-10)
+    assert driving == {0, 1}
 
 
 def test_zero_sinogram_backprojects_to_zero():
@@ -276,3 +317,74 @@ def test_nonfinite_volume_rejected():
     bad[1, 1] = np.nan
     with pytest.raises(ValueError):
         forward_project(Volume(grid, bad), geom)
+
+
+def test_equal_setups_share_one_matrix(monkeypatch):
+    monkeypatch.setattr(projector, "_MATRICES", {})
+    builds = []
+    ray_bundle = projector.ray_bundle
+
+    def counting_ray_bundle(geom):
+        builds.append(geom)
+        return ray_bundle(geom)
+
+    monkeypatch.setattr(projector, "ray_bundle", counting_ray_bundle)
+    op1 = bind(make_fan_geometry(7, 13, 41.0, 19.0), VolumeGrid((10, 9), 1.0))
+    op2 = bind(make_fan_geometry(7, 13, 41.0, 19.0), VolumeGrid((10, 9), 1.0))
+    assert op1.geom is not op2.geom and op1.grid is not op2.grid
+    assert op2._matrix is op1._matrix
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize(
+    "other", [VolumeGrid((10, 10), 1.0, origin=(0.5, 0.0)), VolumeGrid((10, 10), 1.25)]
+)
+def test_grid_differing_in_placement_gets_its_own_matrix(other):
+    geom = make_fan_geometry(6, 11, 40.0, 20.0)
+    base = bind(geom, VolumeGrid((10, 10), 1.0))
+    op = bind(geom, other)
+    assert op._matrix is not base._matrix
+    x = np.random.default_rng(13).random((10, 10))
+    assert not np.allclose(op.forward(x), base.forward(x))
+
+
+def test_outputs_never_alias_the_cached_matrix():
+    grid = VolumeGrid((9, 9), 1.0)
+    geom = make_fan_geometry(5, 11, 40.0, 20.0)
+    op = bind(geom, grid)
+    mat = op._matrix
+    rng = np.random.default_rng(14)
+    x = rng.random(grid.shape)
+    y = rng.random(geom.n_rays)
+    before = mat.toarray()
+    outs = [
+        op.forward(x),
+        op.adjoint(y),
+        projector.forward_project_array(x, grid, geom),
+        projector.back_project_array(y, grid, geom),
+    ]
+    for out in outs:
+        for arr in (mat.data, mat.indices, mat.indptr):
+            assert not np.shares_memory(out, arr)
+        out[...] = -1.0
+    assert np.array_equal(mat.toarray(), before)
+    # every caller shares the matrix, so it cannot be written through
+    with pytest.raises(ValueError):
+        mat.data[0] = 0.0
+
+
+def test_cold_build_memory_is_bounded_by_matrix_size(monkeypatch):
+    # a 180-view scan: the matrix is about 20 MB; building it from the taps
+    # of all rays at once peaked near 7x that
+    monkeypatch.setattr(projector, "_MATRICES", {})
+    grid = VolumeGrid((64, 64), 1.0)
+    geom = make_fan_geometry(180, 95, 150.0, 150.0, detector_pixel_size=1.5)
+    tracemalloc.start()
+    try:
+        op = bind(geom, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    mat = op._matrix
+    nbytes = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+    assert peak <= 3 * nbytes
