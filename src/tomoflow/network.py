@@ -8,8 +8,10 @@ to exact zeros so an untrained network is the zero map.
 
 Everything is plain numpy.  Convolutions gather the k^d shifted views of the
 padded input into a patch matrix and reduce with one matmul; the VJPs are the
-exact transposes of that linearization (patch-matrix products for the kernel
-gradient, scatter of the transposed taps for the input gradient).  ReLU uses
+exact transposes of that linearization, built from the forward primitives:
+the kernel gradient is a patch-matrix product, the input gradient is the same
+conv with the kernel flipped and transposed in (c_out, c_in), and pooling and
+upsampling are each other's adjoints up to a power-of-two scale.  ReLU uses
 the subgradient 0 at exactly 0.  Padding is zero ("same") by default; periodic
 padding exists for the shift-equivariance test mode.
 
@@ -184,11 +186,14 @@ def init_params(arch: NetArch, seed: int) -> NetParams:
 # layer primitives, dimension-generic over (channels, *spatial) arrays
 
 
+_PAD_MODES = {"zeros": "constant", "periodic": "wrap"}
+
+
 def _pad_input(x: np.ndarray, k: tuple[int, ...], pad_mode: str) -> np.ndarray:
     if all(ki == 1 for ki in k):
         return x
     pads = [(0, 0)] + [(ki // 2, ki // 2) for ki in k]
-    return np.pad(x, pads, mode="constant" if pad_mode == "zeros" else "wrap")
+    return np.pad(x, pads, mode=_PAD_MODES[pad_mode])
 
 
 def _patch_matrix(xp: np.ndarray, k: tuple[int, ...], spatial: tuple[int, ...]):
@@ -212,34 +217,6 @@ def _conv_forward(x, w, b, pad_mode):
     return y.reshape((c_out,) + spatial)
 
 
-def _fold_pad_adjoint(gxp, k, spatial, pad_mode):
-    """Adjoint of _pad_input: crop (zeros) or circular fold (periodic)."""
-    if all(ki == 1 for ki in k):
-        return gxp
-    nd = len(spatial)
-    if pad_mode == "zeros":
-        sl = tuple(slice(ki // 2, ki // 2 + s) for ki, s in zip(k, spatial))
-        return gxp[(slice(None),) + sl]
-    # np.pad applies axes in order, so the adjoint folds in reverse order
-    out = gxp
-    for axis in reversed(range(nd)):
-        p = k[axis] // 2
-        s = spatial[axis]
-        full = [slice(None)] * out.ndim
-        core_sl, head_sl, tail_sl = list(full), list(full), list(full)
-        core_sl[axis + 1] = slice(p, p + s)
-        head_sl[axis + 1] = slice(0, p)
-        tail_sl[axis + 1] = slice(p + s, p + s + p)
-        core = out[tuple(core_sl)].copy()
-        lead, trail = list(full[:]), list(full[:])
-        lead[axis + 1] = slice(0, p)
-        trail[axis + 1] = slice(s - p, s)
-        core[tuple(trail)] += out[tuple(head_sl)]
-        core[tuple(lead)] += out[tuple(tail_sl)]
-        out = core
-    return out
-
-
 def _conv_vjp(gy, x, w, pad_mode):
     k = w.shape[2:]
     spatial = x.shape[1:]
@@ -249,12 +226,12 @@ def _conv_vjp(gy, x, w, pad_mode):
     gy2 = gy.reshape(c_out, -1)
     gb = gy2.sum(axis=1)
     gw = (gy2 @ patches.T).reshape(w.shape)
-    spread = (w.reshape(c_out, -1).T @ gy2).reshape((c_in, -1) + spatial)
-    gxp = np.zeros_like(xp)
-    for ti, offs in enumerate(np.ndindex(*k)):
-        sl = tuple(slice(o, o + s) for o, s in zip(offs, spatial))
-        gxp[(slice(None),) + sl] += spread[:, ti]
-    return _fold_pad_adjoint(gxp, k, spatial, pad_mode), gw, gb
+    # the adjoint of a same-padded correlation is the correlation with the
+    # kernel flipped spatially and transposed in (c_out, c_in), padded the
+    # same way; exact for zero padding and for circular wrap of any width
+    w_adj = np.flip(w, axis=tuple(range(2, w.ndim))).swapaxes(0, 1)
+    gx = _conv_forward(gy, w_adj, np.zeros(c_in), pad_mode)
+    return gx, gw, gb
 
 
 def _avgpool_forward(x):
@@ -267,27 +244,10 @@ def _avgpool_forward(x):
     return x.reshape(shape).mean(axis=axes)
 
 
-def _avgpool_vjp(gy, ndim_spatial):
-    g = gy / (2**ndim_spatial)
-    for axis in range(1, ndim_spatial + 1):
-        g = np.repeat(g, 2, axis=axis)
-    return g
-
-
 def _upsample_forward(x):
     for axis in range(1, x.ndim):
         x = np.repeat(x, 2, axis=axis)
     return x
-
-
-def _upsample_vjp(gy):
-    c = gy.shape[0]
-    spatial = gy.shape[1:]
-    shape = (c,)
-    for s in spatial:
-        shape += (s // 2, 2)
-    axes = tuple(range(2, 2 * len(spatial) + 1, 2))
-    return gy.reshape(shape).sum(axis=axes)
 
 
 def _instance_norm_forward(x, scale, shift):
@@ -335,6 +295,8 @@ def net_apply_array(params: NetParams, x: np.ndarray, pad_mode: str = "zeros"):
     The tape holds every intermediate needed by net_vjp_array.
     """
     arch = params.arch
+    if pad_mode not in _PAD_MODES:
+        raise ValueError(f"pad_mode must be 'zeros' or 'periodic', got {pad_mode!r}")
     x = np.asarray(x, dtype=np.float64)
     _check_input_shape(arch, x.shape)
     use_norm = arch.instance_norm
@@ -416,12 +378,14 @@ def net_vjp_array(params: NetParams, tape, gy: np.ndarray):
         g = block_backward(g, idx)
         idx -= 1
         skip_grads.append((lvl, g[: width(lvl)]))
-        g = _upsample_vjp(g[width(lvl) :])
+        # upsampling's adjoint sums each 2^d block: the mean times 2^d
+        g = _avgpool_forward(g[width(lvl) :]) * 2**arch.dims
     g = block_backward(g, idx)
     idx -= 1
     skip_by_level = dict(skip_grads)
     for lvl in reversed(range(levels - 1)):
-        g = _avgpool_vjp(g, arch.dims) + skip_by_level[lvl]
+        # mean pooling's adjoint spreads g / 2^d over each block
+        g = _upsample_forward(g) / 2**arch.dims + skip_by_level[lvl]
         g = block_backward(g, idx)
         idx -= 1
 

@@ -225,7 +225,6 @@ class NodeDynamics:
         params: NetParams,
         gamma: float,
         cfg: OdeConfig,
-        pad_mode: str = "zeros",
     ):
         self.op = bind(p.geom, grid)
         self.grid = grid
@@ -233,12 +232,11 @@ class NodeDynamics:
         self.params = params
         self.gamma = float(gamma)
         self.cfg = cfg
-        self.pad_mode = pad_mode
 
     def __call__(self, x: np.ndarray, t: float = 0.0) -> np.ndarray:
         residual = self.op.forward(x) - self.p_flat
         dc = self.op.adjoint(residual)
-        reg, _ = net_apply_array(self.params, x, self.pad_mode)
+        reg, _ = net_apply_array(self.params, x, "zeros")
         return -self.cfg.lam * (self.gamma * dc + self.cfg.mu * reg)
 
     def residual_norm(self, x: np.ndarray) -> float:
@@ -254,7 +252,7 @@ class NodeDynamics:
         lam, mu, gamma = self.cfg.lam, self.cfg.mu, self.gamma
         residual = self.op.forward(x) - self.p_flat
         dc = self.op.adjoint(residual)
-        reg, tape = net_apply_array(self.params, x, self.pad_mode)
+        reg, tape = net_apply_array(self.params, x, "zeros")
         fx = -lam * (gamma * dc + mu * reg)
 
         gtheta, gx_net = net_vjp_array(self.params, tape, a)

@@ -242,13 +242,14 @@ def _apply(mat: sp.csr_matrix, values: np.ndarray) -> np.ndarray:
     return mat @ np.asarray(values, dtype=np.float64).reshape(-1)
 
 
-def _apply_adjoint(mat: sp.csr_matrix, p: np.ndarray, grid: VolumeGrid) -> np.ndarray:
+def _apply_adjoint(mat_t: sp.csc_matrix, p: np.ndarray, grid: VolumeGrid) -> np.ndarray:
+    """A^T p, given the transpose view mat_t of the system matrix."""
     p_flat = np.asarray(p, dtype=np.float64).reshape(-1)
-    if len(p_flat) != mat.shape[0]:
+    if len(p_flat) != mat_t.shape[1]:
         raise ShapeMismatchError(
-            f"expected {mat.shape[0]} ray values, got {len(p_flat)}"
+            f"expected {mat_t.shape[1]} ray values, got {len(p_flat)}"
         )
-    return (mat.T @ p_flat).reshape(grid.shape)
+    return (mat_t @ p_flat).reshape(grid.shape)
 
 
 def forward_project_array(
@@ -264,7 +265,7 @@ def back_project_array(
 ) -> np.ndarray:
     """Array-level exact adjoint; returns a volume-shaped array."""
     _check_threads(threads)
-    return _apply_adjoint(_system_matrix(geom, grid), p_values, grid)
+    return _apply_adjoint(_system_matrix(geom, grid).T, p_values, grid)
 
 
 def _check_dims(geom: Geometry, grid: VolumeGrid):
@@ -318,6 +319,9 @@ class BoundProjector:
         self.grid = grid
         self.n_rays = geom.n_rays
         self._matrix = _system_matrix(geom, grid)
+        # A^T is a CSC view on the same arrays; held so adjoint() does not
+        # rebuild it on every call
+        self._matrix_t = self._matrix.T
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """A applied to a grid-shaped (or flat) array; returns flat rays."""
@@ -325,7 +329,7 @@ class BoundProjector:
 
     def adjoint(self, p: np.ndarray) -> np.ndarray:
         """A^T applied to flat (or detector-shaped) ray data; grid-shaped result."""
-        return _apply_adjoint(self._matrix, p, self.grid)
+        return _apply_adjoint(self._matrix_t, p, self.grid)
 
 
 def bind(geom: Geometry, grid: VolumeGrid) -> BoundProjector:

@@ -2,9 +2,9 @@
 
 Gradient correctness is checked against central finite differences of the
 scalar loss <c, N(x)> in random directions, for parameters and for the
-input, across 2D, 3D, and instance-norm variants.  Forward behavior is
-pinned with a hand-built identity configuration and a periodic-padding
-shift-equivariance check.
+input, across 2D, 3D, instance-norm and periodic-padding variants.  Forward
+behavior is pinned with a hand-built identity configuration and a
+periodic-padding shift-equivariance check.
 """
 
 import struct
@@ -25,7 +25,7 @@ from tomoflow import (
     net_vjp,
     save_net_params,
 )
-from tomoflow.network import net_apply_array
+from tomoflow.network import _conv_forward, _conv_vjp, net_apply_array
 
 
 def unzero_projection(params, seed):
@@ -110,7 +110,7 @@ def test_output_shape_matches_input_shape():
 # --- gradients ---
 
 
-def directional_fd_errors(arch, shape, seed, n_dirs=4, h=1e-6):
+def directional_fd_errors(arch, shape, seed, pad_mode="zeros", n_dirs=4, h=1e-6):
     """Worst relative FD mismatch over random directions, (params, input)."""
     params = unzero_projection(init_params(arch, seed), seed + 100)
     rng = np.random.default_rng(seed + 1)
@@ -118,15 +118,16 @@ def directional_fd_errors(arch, shape, seed, n_dirs=4, h=1e-6):
     c = rng.normal(0.0, 1.0, shape)
     grid = VolumeGrid(shape, 1.0)
 
-    grads, gx = net_vjp(params, Volume(grid, x), Volume(grid, c))
+    grads, gx = net_vjp(params, Volume(grid, x), Volume(grid, c), pad_mode)
     gflat = grads.flatten()
     theta = params.flatten()
 
     def loss_theta(vec):
-        return float(np.sum(c * net_apply_array(NetParams.from_flat(arch, vec), x)[0]))
+        net = NetParams.from_flat(arch, vec)
+        return float(np.sum(c * net_apply_array(net, x, pad_mode)[0]))
 
     def loss_x(values):
-        return float(np.sum(c * net_apply_array(params, values)[0]))
+        return float(np.sum(c * net_apply_array(params, values, pad_mode)[0]))
 
     worst_p = worst_x = 0.0
     for k in range(n_dirs):
@@ -148,15 +149,17 @@ def test_gradients_match_finite_differences_single_level():
     assert err_x < 1e-6
 
 
-def test_gradients_match_finite_differences_default_arch():
-    err_p, err_x = directional_fd_errors(NetArch(), (8, 8), 1)
+@pytest.mark.parametrize("pad_mode", ["zeros", "periodic"])
+def test_gradients_match_finite_differences_default_arch(pad_mode):
+    err_p, err_x = directional_fd_errors(NetArch(), (8, 8), 1, pad_mode)
     assert err_p < 1e-6
     assert err_x < 1e-6
 
 
-def test_gradients_match_finite_differences_3d():
+@pytest.mark.parametrize("pad_mode", ["zeros", "periodic"])
+def test_gradients_match_finite_differences_3d(pad_mode):
     err_p, err_x = directional_fd_errors(
-        NetArch(n_levels=2, base_channels=2, dims=3), (4, 4, 4), 2
+        NetArch(n_levels=2, base_channels=2, dims=3), (4, 4, 4), 2, pad_mode
     )
     assert err_p < 1e-6
     assert err_x < 1e-6
@@ -166,6 +169,30 @@ def test_gradients_match_finite_differences_with_instance_norm():
     err_p, err_x = directional_fd_errors(NetArch(instance_norm=True), (8, 8), 3)
     assert err_p < 1e-6
     assert err_x < 1e-6
+
+
+def test_periodic_gradients_when_kernel_radius_exceeds_a_side():
+    # radius 3 against the 2x2 bottom level: the padding wraps more than once
+    err_p, err_x = directional_fd_errors(
+        NetArch(n_levels=2, base_channels=2, kernel_size=7), (4, 4), 4, "periodic"
+    )
+    assert err_p < 1e-6
+    assert err_x < 1e-6
+
+
+@pytest.mark.parametrize("pad_mode", ["zeros", "periodic"])
+@pytest.mark.parametrize(
+    "c_in, c_out, k, spatial",
+    [(3, 2, 3, (6, 5)), (2, 4, 5, (4, 6)), (2, 3, 1, (4, 4)), (2, 3, 3, (4, 3, 5))],
+)
+def test_conv_input_gradient_is_the_exact_adjoint(pad_mode, c_in, c_out, k, spatial):
+    rng = np.random.default_rng(15)
+    w = rng.normal(0.0, 1.0, (c_out, c_in) + (k,) * len(spatial))
+    x = rng.normal(0.0, 1.0, (c_in,) + spatial)
+    gy = rng.normal(0.0, 1.0, (c_out,) + spatial)
+    y = _conv_forward(x, w, np.zeros(c_out), pad_mode)
+    gx, _, _ = _conv_vjp(gy, x, w, pad_mode)
+    assert abs(np.sum(y * gy) - np.sum(x * gx)) < 1e-12 * np.sum(np.abs(y * gy))
 
 
 def test_zero_cotangent_gives_zero_gradients():
@@ -210,6 +237,11 @@ def test_dimensionality_mismatch_is_rejected():
     grid = VolumeGrid((4, 4, 4), 1.0)
     with pytest.raises(ShapeMismatchError):
         net_forward(params, Volume(grid, np.zeros((4, 4, 4))))
+
+
+def test_unknown_pad_mode_is_rejected():
+    with pytest.raises(ValueError):
+        net_apply_array(init_params(NetArch(), 0), np.zeros((8, 8)), pad_mode="zero")
 
 
 @pytest.mark.parametrize(

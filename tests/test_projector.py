@@ -353,6 +353,8 @@ def test_outputs_never_alias_the_cached_matrix():
     geom = make_fan_geometry(5, 11, 40.0, 20.0)
     op = bind(geom, grid)
     mat = op._matrix
+    # the held adjoint is a view on the cached arrays, not a second copy
+    assert np.shares_memory(op._matrix_t.data, mat.data)
     rng = np.random.default_rng(14)
     x = rng.random(grid.shape)
     y = rng.random(geom.n_rays)
