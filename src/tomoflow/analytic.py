@@ -124,16 +124,17 @@ def _lateral_coords(grid: VolumeGrid, angle: float, d_src: float):
     return safe, valid, s_virtual
 
 
-def _interp_row(q_row: np.ndarray, fi: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Linear interpolation of one filtered row at fractional indices fi."""
-    n = q_row.shape[-1]
+def _linear_taps(fi: np.ndarray, n: int, valid=True):
+    """Linear-interpolation taps (j0, w0, j1, w1) at fractional indices fi.
+
+    Indices are clipped into [0, n); a tap outside the row, or where valid is
+    False, gets weight 0.
+    """
     j = np.floor(fi).astype(np.int64)
     w = fi - j
-    ok0 = valid & (j >= 0) & (j < n)
-    ok1 = valid & (j >= -1) & (j < n - 1)
-    j0 = np.clip(j, 0, n - 1)
-    j1 = np.clip(j + 1, 0, n - 1)
-    return q_row[j0] * np.where(ok0, 1.0 - w, 0.0) + q_row[j1] * np.where(ok1, w, 0.0)
+    w0 = np.where(valid & (j >= 0) & (j < n), 1.0 - w, 0.0)
+    w1 = np.where(valid & (j >= -1) & (j < n - 1), w, 0.0)
+    return np.clip(j, 0, n - 1), w0, np.clip(j + 1, 0, n - 1), w1
 
 
 def fbp_fan(p: Sinogram, grid: VolumeGrid, window: str = "ram-lak") -> Volume:
@@ -147,8 +148,8 @@ def fbp_fan(p: Sinogram, grid: VolumeGrid, window: str = "ram-lak") -> Volume:
     acc = np.zeros(grid.shape)
     for i, angle in enumerate(geom.angles):
         mag, valid, s_virtual = _lateral_coords(grid, float(angle), geom.source_distance)
-        fi = (s_virtual - s0) / ds
-        acc += _interp_row(q[i], fi, valid) / mag**2
+        j0, w0, j1, w1 = _linear_taps((s_virtual - s0) / ds, q.shape[-1], valid)
+        acc += (q[i][j0] * w0 + q[i][j1] * w1) / mag**2
     return Volume(grid, acc * geom.angular_increment)
 
 
@@ -173,25 +174,11 @@ def fdk_cone(p: Sinogram, grid: VolumeGrid, window: str = "ram-lak") -> Volume:
     acc = np.zeros(grid.shape)
     for i, angle in enumerate(geom.angles):
         mag, valid, s_virtual = _lateral_coords(grid, float(angle), geom.source_distance)
-        fj = (s_virtual - s0) / ds
-        j = np.floor(fj).astype(np.int64)
-        wj = fj - j
-        okj0 = valid & (j >= 0) & (j < n_cols)
-        okj1 = valid & (j >= -1) & (j < n_cols - 1)
-        j0 = np.clip(j, 0, n_cols - 1)[:, :, None]
-        j1 = np.clip(j + 1, 0, n_cols - 1)[:, :, None]
-        cj0 = np.where(okj0, 1.0 - wj, 0.0)[:, :, None]
-        cj1 = np.where(okj1, wj, 0.0)[:, :, None]
-
+        j0, cj0, j1, cj1 = (
+            tap[:, :, None] for tap in _linear_taps((s_virtual - s0) / ds, n_cols, valid)
+        )
         fv = (zs[None, None, :] / mag[:, :, None] - v0) / ds
-        r = np.floor(fv).astype(np.int64)
-        wr = fv - r
-        okr0 = (r >= 0) & (r < n_rows)
-        okr1 = (r >= -1) & (r < n_rows - 1)
-        r0 = np.clip(r, 0, n_rows - 1)
-        r1 = np.clip(r + 1, 0, n_rows - 1)
-        cr0 = np.where(okr0, 1.0 - wr, 0.0)
-        cr1 = np.where(okr1, wr, 0.0)
+        r0, cr0, r1, cr1 = _linear_taps(fv, n_rows)
 
         q_i = q[i]
         val = (

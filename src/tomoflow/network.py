@@ -91,6 +91,16 @@ def _conv_plan(arch: NetArch) -> list[tuple[int, int, tuple[int, ...], bool]]:
     return plan
 
 
+def _n_params(arch: NetArch) -> int:
+    """Length of the flat parameter vector of arch."""
+    total = 0
+    for c_in, c_out, k, is_proj in _conv_plan(arch):
+        total += c_out * c_in * int(np.prod(k)) + c_out
+        if arch.instance_norm and not is_proj:
+            total += 2 * c_out
+    return total
+
+
 @dataclass
 class NetParams:
     """All trainable tensors of one network, in _conv_plan order."""
@@ -122,13 +132,8 @@ class NetParams:
 
     @classmethod
     def from_flat(cls, arch: NetArch, vec: np.ndarray) -> "NetParams":
-        plan = _conv_plan(arch)
         vec = np.asarray(vec, dtype=np.float64)
-        needed = 0
-        for c_in, c_out, k, is_proj in plan:
-            needed += c_out * c_in * int(np.prod(k)) + c_out
-            if arch.instance_norm and not is_proj:
-                needed += 2 * c_out
+        needed = _n_params(arch)
         if vec.size != needed:
             raise ShapeMismatchError(
                 f"parameter vector has {vec.size} entries, architecture needs {needed}"
@@ -145,7 +150,7 @@ class NetParams:
             pos += size
             return out
 
-        for c_in, c_out, k, is_proj in plan:
+        for c_in, c_out, k, is_proj in _conv_plan(arch):
             weights.append(take((c_out, c_in) + k))
             biases.append(take((c_out,)))
             if arch.instance_norm and not is_proj:
@@ -450,7 +455,7 @@ def load_net_params(path) -> NetParams:
         instance_norm=bool(norm),
     )
     vec = np.frombuffer(raw[28:], dtype="<f8")
-    expected = init_params(arch, 0).n_params
+    expected = _n_params(arch)
     if vec.size != expected:
         raise DataFormatError(
             f"{path}: payload has {vec.size} values, architecture needs {expected}"

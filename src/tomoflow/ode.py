@@ -14,12 +14,13 @@ method: the augmented system
     dg_theta/dt = -(df/dtheta)^T a   (g(T) = 0)
     dg_gamma/dt = -(df/dgamma)^T a
 
-is integrated from T down to 0 with the same RK4 scheme, yielding
-a(0) = dL/dx0, g_theta(0) = dL/dtheta, g_gamma(0) = dL/dgamma.  No forward
-trajectory is stored: the working set is a fixed handful of volume-sized
-buffers (3 forward, 6 backward) regardless of S, which an AllocationProbe can
-count.  The price of recomputation is a small reversibility error, measurable
-by comparing the recovered x(0) against the true initializer.
+is integrated from T down to 0 by the same RK4 step (_rk4_step, which both
+solvers call) with step -h, yielding a(0) = dL/dx0, g_theta(0) = dL/dtheta,
+g_gamma(0) = dL/dgamma.  No forward trajectory is stored: the working set is
+a fixed handful of volume-sized buffers (3 forward, 6 backward) regardless of
+S, which an AllocationProbe can count.  The price of recomputation is a small
+reversibility error, measurable by comparing the recovered x(0) against the
+true initializer.
 
 The dynamics is autonomous; the solver still passes t to f so the test
 harness can integrate time-dependent toy problems.
@@ -125,6 +126,41 @@ def _check_finite(k: np.ndarray, step: int, x: np.ndarray):
         raise DivergenceError(step, max_abs)
 
 
+# Classic RK4 time nodes; the stage weights are 1, 2, 2, 1 (over 6).
+_RK4_NODES = (0.0, 0.5, 0.5, 1.0)
+
+
+def _rk4_step(f, ys, t, h, stage, acc, step):
+    """Advance the arrays ys in place by one classic RK4 step of size h.
+
+    f(zs, t) returns one rate per array of zs.  stage and acc are work
+    buffers shaped like ys; h may be negative.  Every rate is checked for
+    non-finite values (DivergenceError reports step).  Returns the first
+    stage's rates.
+    """
+    zs = ys
+    for i, c in enumerate(_RK4_NODES):
+        ks = f(zs, t + c * h)
+        if i == 0:
+            first = ks
+        for k, y, z, a in zip(ks, ys, stage, acc):
+            _check_finite(k, step, y)
+            if i == 0:
+                np.copyto(a, k)
+            else:
+                a += k
+            if i in (1, 2):
+                a += k  # weight 2: a second add makes no scaled temporary
+            if i < 3:
+                np.multiply(k, _RK4_NODES[i + 1] * h, out=z)
+                z += y
+        zs = stage
+    for y, a in zip(ys, acc):
+        a *= h / 6.0
+        y += a
+    return first
+
+
 def rk4_solve(f, x0, cfg: OdeConfig, probe=None, capture=False):
     """Integrate dx/dt = f(x, t) from 0 to t_end with classic RK4.
 
@@ -159,50 +195,24 @@ def rk4_solve(f, x0, cfg: OdeConfig, probe=None, capture=False):
     log = SolveLog()
     residual_fn = getattr(f, "residual_norm", None)
 
+    def rates(zs, t):
+        return (np.asarray(f(zs[0], t), dtype=np.float64),)
+
+    def record(step, f_norm):
+        res = float(residual_fn(x)) if residual_fn is not None else ""
+        log.rows.append([step, step * h, float(np.linalg.norm(x)), f_norm, res])
+
     for step in range(cfg.n_steps):
-        t = step * h
         if capture:
-            res = float(residual_fn(x)) if residual_fn is not None else ""
-            log.rows.append(
-                [step, t, float(np.linalg.norm(x)), None, res]
-            )
-
-        k = np.asarray(f(x, t), dtype=np.float64)
-        _check_finite(k, step, x)
+            record(step, None)
+        (k1,) = _rk4_step(rates, [x], step * h, h, [xt], [acc], step)
         if capture:
-            log.rows[-1][3] = float(np.linalg.norm(k))
-        np.copyto(acc, k)
-        np.multiply(k, h / 2.0, out=xt)
-        xt += x
-
-        k = np.asarray(f(xt, t + h / 2.0), dtype=np.float64)
-        _check_finite(k, step, x)
-        acc += k
-        acc += k
-        np.multiply(k, h / 2.0, out=xt)
-        xt += x
-
-        k = np.asarray(f(xt, t + h / 2.0), dtype=np.float64)
-        _check_finite(k, step, x)
-        acc += k
-        acc += k
-        np.multiply(k, h, out=xt)
-        xt += x
-
-        k = np.asarray(f(xt, t + h), dtype=np.float64)
-        _check_finite(k, step, x)
-        acc += k
-
-        acc *= h / 6.0
-        x += acc
+            log.rows[-1][3] = float(np.linalg.norm(k1))
         log.n_steps += 1
         log.n_evals += 4
 
     if capture:
-        res = float(residual_fn(x)) if residual_fn is not None else ""
-        log.rows.append(
-            [cfg.n_steps, cfg.n_steps * h, float(np.linalg.norm(x)), "", res]
-        )
+        record(cfg.n_steps, "")
 
     if is_volume:
         return Volume(x0.grid, x), log
@@ -233,11 +243,15 @@ class NodeDynamics:
         self.gamma = float(gamma)
         self.cfg = cfg
 
-    def __call__(self, x: np.ndarray, t: float = 0.0) -> np.ndarray:
+    def _rates(self, x: np.ndarray):
+        """f(x), with A^T(Ax - p) and the network tape that aug reuses."""
         residual = self.op.forward(x) - self.p_flat
         dc = self.op.adjoint(residual)
-        reg, _ = net_apply_array(self.params, x, "zeros")
-        return -self.cfg.lam * (self.gamma * dc + self.cfg.mu * reg)
+        reg, tape = net_apply_array(self.params, x, "zeros")
+        return -self.cfg.lam * (self.gamma * dc + self.cfg.mu * reg), dc, tape
+
+    def __call__(self, x: np.ndarray, t: float = 0.0) -> np.ndarray:
+        return self._rates(x)[0]
 
     def residual_norm(self, x: np.ndarray) -> float:
         return float(np.linalg.norm(self.op.forward(x) - self.p_flat))
@@ -250,11 +264,7 @@ class NodeDynamics:
         0 with g(T) = 0 accumulates the true gradients.
         """
         lam, mu, gamma = self.cfg.lam, self.cfg.mu, self.gamma
-        residual = self.op.forward(x) - self.p_flat
-        dc = self.op.adjoint(residual)
-        reg, tape = net_apply_array(self.params, x, "zeros")
-        fx = -lam * (gamma * dc + mu * reg)
-
+        fx, dc, tape = self._rates(x)
         gtheta, gx_net = net_vjp_array(self.params, tape, a)
         fa = lam * (gamma * self.op.adjoint(self.op.forward(a)) + mu * gx_net)
         rate_theta = lam * mu * gtheta.flatten()
@@ -301,84 +311,26 @@ def adjoint_backward(
     np.copyto(x, x_T.values)
     a = alloc.new(shape)
     np.copyto(a, dL_dxT.values)
-    xt = alloc.new(shape)
-    at = alloc.new(shape)
-    acc_x = alloc.new(shape)
-    acc_a = alloc.new(shape)
-
-    n_theta = f.params.n_params
-    g_theta = np.zeros(n_theta)
-    acc_theta = np.zeros(n_theta)
-    g_gamma = 0.0
+    ys = [x, a, np.zeros(f.params.n_params), np.zeros(())]
+    # aug never reads the g stage states (the gradient rates do not depend on
+    # g), so only the x and a work buffers are volume-sized probe allocations
+    stage = [alloc.new(shape), alloc.new(shape)] + [np.empty_like(g) for g in ys[2:]]
+    acc = [alloc.new(shape), alloc.new(shape)] + [np.empty_like(g) for g in ys[2:]]
     h = cfg.step_size
-    n_evals = 0
+
+    def rates(zs, t):
+        return f.aug(zs[0], zs[1])
 
     for step in reversed(range(cfg.n_steps)):
-        kx, ka, kt, kg = f.aug(x, a)
-        _check_finite(kx, step, x)
-        _check_finite(ka, step, a)
-        np.copyto(acc_x, kx)
-        np.copyto(acc_a, ka)
-        np.copyto(acc_theta, kt)
-        acc_gamma = kg
-        np.multiply(kx, -h / 2.0, out=xt)
-        xt += x
-        np.multiply(ka, -h / 2.0, out=at)
-        at += a
-
-        kx, ka, kt, kg = f.aug(xt, at)
-        _check_finite(kx, step, x)
-        _check_finite(ka, step, a)
-        acc_x += kx
-        acc_x += kx
-        acc_a += ka
-        acc_a += ka
-        acc_theta += kt
-        acc_theta += kt
-        acc_gamma += 2.0 * kg
-        np.multiply(kx, -h / 2.0, out=xt)
-        xt += x
-        np.multiply(ka, -h / 2.0, out=at)
-        at += a
-
-        kx, ka, kt, kg = f.aug(xt, at)
-        _check_finite(kx, step, x)
-        _check_finite(ka, step, a)
-        acc_x += kx
-        acc_x += kx
-        acc_a += ka
-        acc_a += ka
-        acc_theta += kt
-        acc_theta += kt
-        acc_gamma += 2.0 * kg
-        np.multiply(kx, -h, out=xt)
-        xt += x
-        np.multiply(ka, -h, out=at)
-        at += a
-
-        kx, ka, kt, kg = f.aug(xt, at)
-        _check_finite(kx, step, x)
-        _check_finite(ka, step, a)
-        acc_x += kx
-        acc_a += ka
-        acc_theta += kt
-        acc_gamma += kg
-
-        acc_x *= h / 6.0
-        x -= acc_x
-        acc_a *= h / 6.0
-        a -= acc_a
-        g_theta -= (h / 6.0) * acc_theta
-        g_gamma -= (h / 6.0) * acc_gamma
-        n_evals += 4
+        _rk4_step(rates, ys, (step + 1) * h, -h, stage, acc, step)
 
     grid = x_T.grid
     return AdjointResult(
         grad_x0=Volume(grid, a),
-        grad_params=NetParams.from_flat(f.params.arch, g_theta),
-        grad_gamma=float(g_gamma),
+        grad_params=NetParams.from_flat(f.params.arch, ys[2]),
+        grad_gamma=float(ys[3]),
         x0_recovered=Volume(grid, x),
-        n_evals=n_evals,
+        n_evals=4 * cfg.n_steps,
     )
 
 

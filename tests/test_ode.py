@@ -196,6 +196,58 @@ def test_solver_matches_textbook_rk4_loop():
     np.testing.assert_allclose(x_T, x, rtol=1e-12, atol=1e-16)
 
 
+def test_adjoint_matches_textbook_backward_rk4_loop():
+    grid, geom, truth, p, params = small_problem()
+    cfg = OdeConfig()
+    dyn = NodeDynamics(p, grid, params, 0.01, cfg)
+    x_T, _ = rk4_solve(dyn, initial_volume(p, grid).values.copy(), cfg)
+
+    result = adjoint_backward(dyn, Volume(grid, x_T), Volume(grid, x_T - truth), cfg)
+
+    x, a = x_T.copy(), x_T - truth
+    g_theta, g_gamma = np.zeros(params.n_params), 0.0
+    h = cfg.step_size
+    for _ in range(cfg.n_steps):
+        k1 = dyn.aug(x, a)
+        k2 = dyn.aug(x - (h / 2.0) * k1[0], a - (h / 2.0) * k1[1])
+        k3 = dyn.aug(x - (h / 2.0) * k2[0], a - (h / 2.0) * k2[1])
+        k4 = dyn.aug(x - h * k3[0], a - h * k3[1])
+        x, a, g_theta, g_gamma = (
+            y - (h / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+            for y, r1, r2, r3, r4 in zip((x, a, g_theta, g_gamma), k1, k2, k3, k4)
+        )
+    np.testing.assert_allclose(result.x0_recovered.values, x, rtol=1e-12, atol=1e-16)
+    np.testing.assert_allclose(result.grad_x0.values, a, rtol=1e-12, atol=1e-16)
+    np.testing.assert_allclose(result.grad_params.flatten(), g_theta, rtol=1e-12, atol=1e-16)
+    assert result.grad_gamma == pytest.approx(g_gamma, rel=1e-12)
+
+
+def test_adjoint_divergence_reports_failing_backward_step():
+    grid, geom, truth, p, params = small_problem()
+    cfg = OdeConfig()
+    dyn = NodeDynamics(p, grid, params, 0.01, cfg)
+    x_T, _ = rk4_solve(dyn, initial_volume(p, grid).values.copy(), cfg)
+    aug = dyn.aug
+    n_calls = 0
+
+    def failing_aug(x, a):
+        # from the second stage of the fourth backward step on, the adjoint
+        # rate is non-finite
+        nonlocal n_calls
+        n_calls += 1
+        fx, fa, rate_theta, rate_gamma = aug(x, a)
+        if n_calls >= 3 * 4 + 2:
+            fa = np.full_like(fa, np.nan)
+        return fx, fa, rate_theta, rate_gamma
+
+    dyn.aug = failing_aug
+    with pytest.raises(DivergenceError) as excinfo:
+        adjoint_backward(dyn, Volume(grid, x_T), Volume(grid, x_T - truth), cfg)
+    assert excinfo.value.step_index == cfg.n_steps - 4  # steps count down
+    assert 0.0 < excinfo.value.max_abs < np.inf
+    assert n_calls == 3 * 4 + 2
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_unstable_gain_raises_divergence_error():
     grid, geom, truth, p, _ = small_problem()
