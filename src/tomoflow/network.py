@@ -7,13 +7,15 @@ concatenation, and a final 1x1 projection.  The projection layer initializes
 to exact zeros so an untrained network is the zero map.
 
 Everything is plain numpy.  Convolutions gather the k^d shifted views of the
-padded input into a patch matrix and reduce with one matmul; the VJPs are the
+padded input into a patch matrix and reduce it with a matmul, one slab of
+rows along the first spatial axis at a time; each slab's patches fit a fixed
+byte budget, so no conv builds its whole patch matrix.  The VJPs are the
 exact transposes of that linearization, built from the forward primitives:
-the kernel gradient is a patch-matrix product, the input gradient is the same
-conv with the kernel flipped and transposed in (c_out, c_in), and pooling and
-upsampling are each other's adjoints up to a power-of-two scale.  ReLU uses
-the subgradient 0 at exactly 0.  Padding is zero ("same") by default; periodic
-padding exists for the shift-equivariance test mode.
+the kernel gradient is a sum of per-slab patch products, the input gradient
+is the same conv with the kernel flipped and transposed in (c_out, c_in), and
+pooling and upsampling are each other's adjoints up to a power-of-two scale.
+ReLU uses the subgradient 0 at exactly 0.  Padding is zero ("same") by
+default; periodic padding exists for the shift-equivariance test mode.
 
 Parameters live in an explicit layer list and flatten to a single vector in a
 fixed order (per conv: kernel, bias, then instance-norm scale and shift when
@@ -191,23 +193,51 @@ def init_params(arch: NetArch, seed: int) -> NetParams:
 # layer primitives, dimension-generic over (channels, *spatial) arrays
 
 
-_PAD_MODES = {"zeros": "constant", "periodic": "wrap"}
+_PAD_MODES = ("zeros", "periodic")
+
+# byte budget of one row slab of a conv's patch matrix; a slab holds at least
+# one row, so a row larger than the budget is built alone
+_PATCH_BYTES = 4 * 2**20
 
 
 def _pad_input(x: np.ndarray, k: tuple[int, ...], pad_mode: str) -> np.ndarray:
     if all(ki == 1 for ki in k):
         return x
-    pads = [(0, 0)] + [(ki // 2, ki // 2) for ki in k]
-    return np.pad(x, pads, mode=_PAD_MODES[pad_mode])
+    pads = [ki // 2 for ki in k]
+    if pad_mode == "periodic":
+        return np.pad(x, [(0, 0)] + [(p, p) for p in pads], mode="wrap")
+    spatial = x.shape[1:]
+    xp = np.zeros((x.shape[0],) + tuple(s + 2 * p for s, p in zip(spatial, pads)))
+    xp[(slice(None),) + tuple(slice(p, p + s) for s, p in zip(spatial, pads))] = x
+    return xp
 
 
-def _patch_matrix(xp: np.ndarray, k: tuple[int, ...], spatial: tuple[int, ...]):
-    """Stack the k^d shifted views: (c_in * n_taps, prod(spatial))."""
+def _row_slabs(x: np.ndarray, k: tuple[int, ...]) -> list[tuple[int, int, slice]]:
+    """Ranges r0:r1 of output rows (first spatial axis) whose patches fit
+    _PATCH_BYTES, at least one row each, with their patch-matrix columns."""
+    row_cols = int(np.prod(x.shape[2:]))
+    row_bytes = x.shape[0] * int(np.prod(k)) * row_cols * 8  # float64 patches
+    step = max(1, _PATCH_BYTES // row_bytes)
+    n_rows = x.shape[1]
+    slabs = []
+    for r0 in range(0, n_rows, step):
+        r1 = min(r0 + step, n_rows)
+        slabs.append((r0, r1, slice(r0 * row_cols, r1 * row_cols)))
+    return slabs
+
+
+def _patch_matrix(
+    xp: np.ndarray, k: tuple[int, ...], spatial: tuple[int, ...], r0: int, r1: int
+):
+    """Stack the k^d shifted views for output rows r0:r1 of the first spatial
+    axis: (c_in * n_taps, (r1 - r0) * prod(spatial[1:]))."""
     c_in = xp.shape[0]
     taps = list(np.ndindex(*k))
-    stack = np.empty((c_in, len(taps)) + spatial)
+    stack = np.empty((c_in, len(taps), r1 - r0) + spatial[1:])
     for ti, offs in enumerate(taps):
-        sl = tuple(slice(o, o + s) for o, s in zip(offs, spatial))
+        sl = (slice(offs[0] + r0, offs[0] + r1),) + tuple(
+            slice(o, o + s) for o, s in zip(offs[1:], spatial[1:])
+        )
         stack[:, ti] = xp[(slice(None),) + sl]
     return stack.reshape(c_in * len(taps), -1)
 
@@ -215,11 +245,15 @@ def _patch_matrix(xp: np.ndarray, k: tuple[int, ...], spatial: tuple[int, ...]):
 def _conv_forward(x, w, b, pad_mode):
     k = w.shape[2:]
     spatial = x.shape[1:]
-    xp = _pad_input(x, k, pad_mode)
-    patches = _patch_matrix(xp, k, spatial)
     c_out = w.shape[0]
-    y = w.reshape(c_out, -1) @ patches + b[:, None]
-    return y.reshape((c_out,) + spatial)
+    xp = _pad_input(x, k, pad_mode)
+    w2 = w.reshape(c_out, -1)
+    y = np.empty((c_out,) + spatial)
+    y2 = y.reshape(c_out, -1)
+    for r0, r1, cols in _row_slabs(x, k):
+        np.matmul(w2, _patch_matrix(xp, k, spatial, r0, r1), out=y2[:, cols])
+    y2 += b[:, None]
+    return y
 
 
 def _conv_vjp(gy, x, w, pad_mode):
@@ -227,10 +261,12 @@ def _conv_vjp(gy, x, w, pad_mode):
     spatial = x.shape[1:]
     c_out, c_in = w.shape[0], w.shape[1]
     xp = _pad_input(x, k, pad_mode)
-    patches = _patch_matrix(xp, k, spatial)
     gy2 = gy.reshape(c_out, -1)
     gb = gy2.sum(axis=1)
-    gw = (gy2 @ patches.T).reshape(w.shape)
+    gw2 = np.zeros((c_out, c_in * int(np.prod(k))))
+    for r0, r1, cols in _row_slabs(x, k):
+        gw2 += gy2[:, cols] @ _patch_matrix(xp, k, spatial, r0, r1).T
+    gw = gw2.reshape(w.shape)
     # the adjoint of a same-padded correlation is the correlation with the
     # kernel flipped spatially and transposed in (c_out, c_in), padded the
     # same way; exact for zero padding and for circular wrap of any width
