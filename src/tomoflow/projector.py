@@ -5,12 +5,29 @@ for each ray the driving axis is the dominant component of the unit direction,
 the ray is sampled once per voxel slice along that axis, and the remaining
 axes are handled by linear interpolation.  The interpolation weights of every
 ray, times its step length, are the rows of a scipy CSR matrix that is built
-once per (geometry, grid) pair and cached.  A is a sparse mat-vec with that
-matrix and back_project applies A^T as the product with its transpose, which
-shares the matrix's arrays.  Every caller (the array functions, bind,
-dense_matrix, op_norm_estimate) uses the same matrix, so
-``<Ax, y> == <x, A^T y>`` holds by construction, up to summation-order
-rounding, and no separate "pixel-driven" code path can break it.
+once per (geometry, grid) pair and cached.
+
+Only one block of those rows is stored.  On a full turn with uniform views
+over a grid whose in-plane shape is square and whose in-plane origin is 0,
+a quarter turn of the scan is a quarter turn of the volume about z, which
+permutes voxels.  There the matrix M holds the rows of the first n_angles/g
+views, g = gcd(n_angles, 4), and block k of the sinogram (views k n/g to
+(k+1) n/g) is M applied to the volume turned by -4k/g quarter turns:
+
+    A x   = [M rot(x, 0), M rot(x, -4/g), ...]
+    A^T y = sum_k rot(M^T y_k, 4k/g)
+
+Any other setup has g = 1, so M is all of A; it is the same code with one
+block.  The stored rows differ from a build over every ray only by the
+rounding of cos/sin at the turned angles.  A is g sparse mat-vecs with M and
+back_project applies A^T through M's transpose, which shares M's arrays.
+Every caller (the array functions, bind, dense_matrix, op_norm_estimate)
+uses the same block, so ``<Ax, y> == <x, A^T y>`` holds by construction, up
+to summation-order rounding, and no separate "pixel-driven" code path can
+break it.
+
+The cache is least-recently-used and bounded by the bytes of its blocks
+(_CACHE_BYTES); an evicted block lives on in any BoundProjector holding it.
 
 The mat-vec runs on one thread.  Thread caps are validated and otherwise
 ignored, so results are bitwise identical for every thread count.
@@ -22,6 +39,7 @@ is a file-format concern only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +47,7 @@ import scipy.sparse as sp
 
 from .errors import ShapeMismatchError
 from .geometry import (
+    FULL_TURN,
     ConeGeometry,
     FanGeometry,
     Geometry,
@@ -128,7 +147,7 @@ class Sinogram:
 def _taps_for_axis(grid: VolumeGrid, org: np.ndarray, dirs: np.ndarray, axis: int):
     """Interpolation taps for a group of rays sharing one driving axis.
 
-    Returns (lins, ws, scale): lins is a list of (g, n_slices) int64 arrays of
+    Returns (lins, ws, scale): lins is a list of (rays, n_slices) int64 arrays of
     flat voxel indices, ws the matching weights (zero where the tap falls off
     the grid; those indices are clipped so gathers stay in bounds), and scale
     the per-ray step length voxel_size / |d_axis| in mm.
@@ -177,15 +196,19 @@ def _taps_for_axis(grid: VolumeGrid, org: np.ndarray, dirs: np.ndarray, axis: in
     return lins, ws, scale
 
 
-# System matrices by (geometry, grid).  Both keys are frozen dataclasses, so
-# equal setups share one matrix however often they are rebuilt; an entry
-# lives as long as the process.
-_MATRICES: dict[tuple[Geometry, VolumeGrid], sp.csr_matrix] = {}
+# Cached system-matrix blocks by (geometry, grid), least recently used first.
+# Both keys are frozen dataclasses, so equal setups share one entry however
+# often they are rebuilt.  Entries are evicted, oldest first, once their
+# arrays together pass _CACHE_BYTES; the newest entry is always kept, and a
+# BoundProjector keeps working on the block it holds after it is evicted.
+_MATRICES: dict[tuple[Geometry, VolumeGrid], tuple[sp.csr_matrix, int]] = {}
+_CACHE_BYTES = 256 * 2**20
 
 # Rays whose taps are expanded at once while a matrix is built.  The build's
-# transient memory is then a chunk's taps plus the finished matrix, not the
-# taps of every ray.
-_BUILD_CHUNK_RAYS = 4096
+# transient memory is then a chunk's taps plus the finished rows, not the
+# taps of every ray.  The cold build of a 180-view 64^2 fan block peaked at
+# 4.1x the block's bytes with 4096-ray chunks and at 2.2x with 1024.
+_BUILD_CHUNK_RAYS = 1024
 
 
 def _matrix_rows(grid: VolumeGrid, org: np.ndarray, dirs: np.ndarray) -> sp.csr_matrix:
@@ -215,41 +238,109 @@ def _matrix_rows(grid: VolumeGrid, org: np.ndarray, dirs: np.ndarray) -> sp.csr_
     )
 
 
-def _system_matrix(geom: Geometry, grid: VolumeGrid) -> sp.csr_matrix:
-    """The (n_rays, n_voxels) matrix of A, built once per (geom, grid).
+def _rotation_blocks(geom: Geometry, grid: VolumeGrid) -> int:
+    """g, the number of quarter-turn copies of one block of views that make A.
 
-    Its arrays are read-only: every caller shares them.
+    On a full uniform turn, view i + k n/g sees the volume rotated by k/g of a
+    turn about the z axis, as view i does the unrotated one.  On a square,
+    centred in-plane grid that rotation permutes voxels, so A is g copies of
+    the first n_angles/g views' rows, with g = gcd(n_angles, 4).  A span
+    within 1e-12 rad of a full turn counts as one, since a range given in
+    degrees converts with rounding.  Any other scan or grid has g = 1: the
+    block is all of A.
+    """
+    start, end = geom.angular_range
+    symmetric = (
+        abs(end - start - FULL_TURN) <= 1e-12
+        and grid.shape[0] == grid.shape[1]
+        and grid.origin[0] == 0.0
+        and grid.origin[1] == 0.0
+    )
+    return math.gcd(geom.n_angles, 4) if symmetric else 1
+
+
+def _turn(x: np.ndarray, q: int) -> np.ndarray:
+    """x turned in-plane by q quarter turns, as np.rot90(x, q, axes=(0, 1)).
+
+    A view, like rot90's, but without rot90's per-call cost, which was about
+    5 % of a 64^2 fan A.
+    """
+    q %= 4
+    if q == 1:
+        return x[:, ::-1].swapaxes(0, 1)
+    if q == 2:
+        return x[::-1, ::-1]
+    if q == 3:
+        return x.swapaxes(0, 1)[:, ::-1]
+    return x
+
+
+def _system_matrix(geom: Geometry, grid: VolumeGrid) -> tuple[sp.csr_matrix, int]:
+    """(M, g): A's first block of rows, and g, built once per (geom, grid).
+
+    M holds the rows of the first n_angles/g views; block k of A is M applied
+    to the volume turned by -4k/g quarter turns in-plane.  M's arrays are
+    read-only: every caller shares them.
     """
     key = (geom, grid)
-    mat = _MATRICES.get(key)
-    if mat is None:
+    entry = _MATRICES.pop(key, None)
+    if entry is None:
+        g = _rotation_blocks(geom, grid)
         org, dirs = ray_bundle(geom)
-        bounds = range(_BUILD_CHUNK_RAYS, len(org), _BUILD_CHUNK_RAYS)
+        n = len(org) // g
+        bounds = range(_BUILD_CHUNK_RAYS, n, _BUILD_CHUNK_RAYS)
         mat = sp.vstack(
             [
                 _matrix_rows(grid, o, d)
-                for o, d in zip(np.split(org, bounds), np.split(dirs, bounds))
+                for o, d in zip(np.split(org[:n], bounds), np.split(dirs[:n], bounds))
             ],
             format="csr",
         )
         for arr in (mat.data, mat.indices, mat.indptr):
             arr.flags.writeable = False
-        _MATRICES[key] = mat
-    return mat
+        entry = (mat, g)
+    _MATRICES[key] = entry
+    _evict()
+    return entry
 
 
-def _apply(mat: sp.csr_matrix, values: np.ndarray) -> np.ndarray:
-    return mat @ np.asarray(values, dtype=np.float64).reshape(-1)
+def _matrix_bytes(mat: sp.csr_matrix) -> int:
+    return mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
 
 
-def _apply_adjoint(mat_t: sp.csc_matrix, p: np.ndarray, grid: VolumeGrid) -> np.ndarray:
-    """A^T p, given the transpose view mat_t of the system matrix."""
+def _evict() -> None:
+    """Drop least recently used entries until the cache fits _CACHE_BYTES."""
+    total = sum(_matrix_bytes(mat) for mat, _ in _MATRICES.values())
+    while total > _CACHE_BYTES and len(_MATRICES) > 1:
+        mat, _ = _MATRICES.pop(next(iter(_MATRICES)))
+        total -= _matrix_bytes(mat)
+
+
+def _apply(mat: sp.csr_matrix, g: int, values: np.ndarray, grid: VolumeGrid) -> np.ndarray:
+    """A x: block k is M @ (x turned by -4k/g quarter turns), flattened."""
+    x = np.asarray(values, dtype=np.float64).reshape(grid.shape)
+    n = mat.shape[0]
+    out = np.empty(g * n)
+    for k in range(g):
+        out[k * n:(k + 1) * n] = mat @ _turn(x, -4 * k // g).reshape(-1)
+    return out
+
+
+def _apply_adjoint(
+    mat_t: sp.csc_matrix, g: int, p: np.ndarray, grid: VolumeGrid
+) -> np.ndarray:
+    """A^T p, given the transpose view mat_t of the block M.
+
+    The sum over blocks k of M^T p_k turned back by 4k/g quarter turns.
+    """
     p_flat = np.asarray(p, dtype=np.float64).reshape(-1)
-    if len(p_flat) != mat_t.shape[1]:
-        raise ShapeMismatchError(
-            f"expected {mat_t.shape[1]} ray values, got {len(p_flat)}"
-        )
-    return (mat_t @ p_flat).reshape(grid.shape)
+    n = mat_t.shape[1]
+    if len(p_flat) != g * n:
+        raise ShapeMismatchError(f"expected {g * n} ray values, got {len(p_flat)}")
+    out = (mat_t @ p_flat[:n]).reshape(grid.shape)
+    for k in range(1, g):
+        out += _turn((mat_t @ p_flat[k * n:(k + 1) * n]).reshape(grid.shape), 4 * k // g)
+    return out
 
 
 def forward_project_array(
@@ -257,7 +348,8 @@ def forward_project_array(
 ) -> np.ndarray:
     """Array-level forward projection; returns flat ray integrals, length R."""
     _check_threads(threads)
-    return _apply(_system_matrix(geom, grid), values)
+    mat, g = _system_matrix(geom, grid)
+    return _apply(mat, g, values, grid)
 
 
 def back_project_array(
@@ -265,7 +357,8 @@ def back_project_array(
 ) -> np.ndarray:
     """Array-level exact adjoint; returns a volume-shaped array."""
     _check_threads(threads)
-    return _apply_adjoint(_system_matrix(geom, grid).T, p_values, grid)
+    mat, g = _system_matrix(geom, grid)
+    return _apply_adjoint(mat.T, g, p_values, grid)
 
 
 def _check_dims(geom: Geometry, grid: VolumeGrid):
@@ -298,18 +391,24 @@ def back_project(p: Sinogram, grid: VolumeGrid, threads=None) -> Volume:
 def dense_matrix(geom: Geometry, grid: VolumeGrid, threads=None) -> np.ndarray:
     """Materialize A as a dense (N, M) matrix.
 
-    Only sensible at toy scale; used to cross-check the operators.
+    Only sensible at toy scale; used to cross-check the operators.  Block k
+    is the cached block with its columns permuted by the block's rotation.
     """
     _check_threads(threads)
-    return _system_matrix(geom, grid).toarray()
+    mat, g = _system_matrix(geom, grid)
+    block = mat.toarray()
+    voxels = np.arange(grid.n_voxels).reshape(grid.shape)
+    return np.vstack([
+        block[:, np.argsort(_turn(voxels, -4 * k // g).reshape(-1))] for k in range(g)
+    ])
 
 
 class BoundProjector:
     """A and A^T bound to one (geometry, grid) pair.
 
-    Holds the pair's cached system matrix, so repeated applications
-    (iterative solvers, ODE dynamics, training) are one sparse mat-vec each.
-    forward_project / back_project use the same matrix, so all of them agree
+    Holds the pair's cached matrix block, so repeated applications
+    (iterative solvers, ODE dynamics, training) are g sparse mat-vecs each.
+    forward_project / back_project use the same block, so all of them agree
     exactly and the pair is adjoint by construction.
     """
 
@@ -318,18 +417,18 @@ class BoundProjector:
         self.geom = geom
         self.grid = grid
         self.n_rays = geom.n_rays
-        self._matrix = _system_matrix(geom, grid)
-        # A^T is a CSC view on the same arrays; held so adjoint() does not
+        self._matrix, self._n_blocks = _system_matrix(geom, grid)
+        # M^T is a CSC view on the same arrays; held so adjoint() does not
         # rebuild it on every call
         self._matrix_t = self._matrix.T
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """A applied to a grid-shaped (or flat) array; returns flat rays."""
-        return _apply(self._matrix, values)
+        return _apply(self._matrix, self._n_blocks, values, self.grid)
 
     def adjoint(self, p: np.ndarray) -> np.ndarray:
         """A^T applied to flat (or detector-shaped) ray data; grid-shaped result."""
-        return _apply_adjoint(self._matrix_t, p, self.grid)
+        return _apply_adjoint(self._matrix_t, self._n_blocks, p, self.grid)
 
 
 def bind(geom: Geometry, grid: VolumeGrid) -> BoundProjector:

@@ -3,7 +3,9 @@
 perfbench/run.py checks every unit it runs, including that the traced
 counts (projector A/A^T/bind/unbound calls, network and ODE calls) equal the
 values computed from the workload's configuration.  One quick traced run of
-fan-recon keeps the harness and those counts from rotting unnoticed.
+fan-recon keeps the harness and those counts from rotting unnoticed.  One
+quick run of cone-recon takes the 3D projector, with its rotation blocks,
+through the bound and unbound adjoint checks.
 """
 
 import json
@@ -14,14 +16,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_quick_traced_fan_recon_is_correct():
+def _quick_run(*args):
     out = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"),
-         "--workload", "fan-recon", "--quick", "--trace", "1"],
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--quick", *args],
         capture_output=True, text=True, timeout=300, check=False, cwd=ROOT,
     )
     assert out.returncode == 0, out.stderr
     result = json.loads(out.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, out.stdout
     assert result["failed"] == 0, out.stdout
-    assert result["attempted"] >= 2
+    return result
+
+
+def test_quick_traced_fan_recon_is_correct():
+    assert _quick_run("--workload", "fan-recon", "--trace", "1")["attempted"] >= 2
+
+
+def test_quick_cone_recon_is_correct():
+    assert _quick_run("--workload", "cone-recon")["attempted"] >= 1

@@ -27,6 +27,7 @@ from tomoflow import (
     op_norm_estimate,
     ray_for,
 )
+from tomoflow.geometry import geometry_from_dict
 
 
 def reference_integral_2d(values, grid, origin, direction):
@@ -390,3 +391,149 @@ def test_cold_build_memory_is_bounded_by_matrix_size(monkeypatch):
     mat = op._matrix
     nbytes = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
     assert peak <= 3 * nbytes
+
+
+def test_forward_matches_reference_oracle_3d_on_rotation_blocks():
+    # a centred grid with a square in-plane shape and odd sides: 8 views make
+    # 4 blocks, and views 2-7 come from the first block's rows turned in-plane
+    rng = np.random.default_rng(15)
+    grid = VolumeGrid((7, 7, 5), 1.0)
+    values = rng.random(grid.shape)
+    geom = make_cone_geometry(8, 5, 7, 20.0, 10.0, 1.3)
+    assert projector._rotation_blocks(geom, grid) == 4
+    p = forward_project(Volume(grid, values), geom)
+    driving = set()
+    for i in range(8):
+        for j, k in [(0, 0), (2, 3), (4, 6), (1, 5), (3, 1)]:
+            ray = ray_for(geom, i, (j, k))
+            driving.add(int(np.argmax(np.abs(ray.direction))))
+            want = reference_integral_3d(values, grid, ray.origin, ray.direction)
+            assert p.values[i, j, k] == pytest.approx(want, abs=1e-10)
+    assert driving == {0, 1}
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (4, 4, 3)])
+def test_turn_matches_rot90(shape):
+    x = np.arange(np.prod(shape), dtype=float).reshape(shape)
+    for q in range(-4, 5):
+        assert np.array_equal(projector._turn(x, q), np.rot90(x, q, axes=(0, 1)))
+
+
+def _full_rows(geom, grid):
+    """The g = 1 matrix: every ray's row, with no rotation blocks."""
+    org, dirs = projector.ray_bundle(geom)
+    return projector._matrix_rows(grid, org, dirs)
+
+
+def _rel(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+FAN_64 = dict(n_detectors=95, source_distance=150.0, detector_distance=150.0,
+              detector_pixel_size=1.5)
+CONE_16 = dict(detector_rows=12, detector_cols=12, source_distance=60.0,
+               detector_distance=60.0, detector_pixel_size=2.0)
+
+
+@pytest.mark.parametrize(
+    "geom, grid, g",
+    [(make_fan_geometry(n, **FAN_64), VolumeGrid((64, 64), 1.0), g)
+     for n, g in [(30, 2), (32, 4), (180, 4)]]
+    + [(make_cone_geometry(n, **CONE_16), VolumeGrid((16, 16, 16), 1.0), g)
+       for n, g in [(30, 2), (32, 4)]]
+    + [
+        # the cone-recon benchmark setup: 8640 of 17280 rows
+        (make_cone_geometry(30, 24, 24, 120.0, 120.0, 3.0), VolumeGrid((32, 32, 32), 1.0), 2),
+        # a full turn from any start, given in degrees: its span in radians
+        # is off 2 pi by rounding
+        (geometry_from_dict({"kind": "fan", "n_angles": 32, "n_detectors": 11,
+                             "angular_range": [123.4, 483.4], "source_distance": 40.0,
+                             "detector_distance": 20.0, "detector_pixel_size": 1.0}),
+         VolumeGrid((10, 10), 1.0), 4),
+        # the z origin and side do not matter
+        (make_cone_geometry(32, 4, 5, 40.0, 20.0, 1.5),
+         VolumeGrid((6, 6, 3), 1.0, origin=(0.0, 0.0, 0.7)), 4),
+    ],
+)
+def test_rotation_blocks_agree_with_every_ray_built(geom, grid, g):
+    op = bind(geom, grid)
+    assert op._n_blocks == g
+    assert op._matrix.shape == (geom.n_rays // g, grid.n_voxels)
+    full = _full_rows(geom, grid)
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal(grid.shape)
+    y = rng.standard_normal(geom.n_rays)
+    assert _rel(op.forward(x), full @ x.ravel()) < 1e-13
+    assert _rel(op.adjoint(y).ravel(), full.T @ y) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "geom, grid",
+    [(make_fan_geometry(n, 23, 40.0, 40.0, detector_pixel_size=1.0), VolumeGrid((16, 16), 1.0))
+     for n in (30, 32, 180)]
+    + [(make_cone_geometry(n, 6, 6, 30.0, 30.0, 2.0), VolumeGrid((8, 8, 8), 1.0))
+       for n in (30, 32)],
+)
+def test_dense_matrix_expands_the_rotation_blocks(geom, grid):
+    # the same view counts as above on smaller grids: dense 64^2 fan
+    # matrices are 93 MB at 30 views and 560 MB at 180
+    assert projector._rotation_blocks(geom, grid) > 1
+    assert _rel(dense_matrix(geom, grid), _full_rows(geom, grid).toarray()) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "geom, grid",
+    [
+        # a partial arc
+        (make_fan_geometry(32, 11, 40.0, 20.0, angular_range=(0.0, np.pi)),
+         VolumeGrid((10, 10), 1.0)),
+        # an odd view count
+        (make_fan_geometry(31, 11, 40.0, 20.0), VolumeGrid((10, 10), 1.0)),
+        # an in-plane origin off the rotation axis
+        (make_fan_geometry(32, 11, 40.0, 20.0), VolumeGrid((10, 10), 1.0, origin=(0.5, 0.0))),
+        (make_cone_geometry(32, 4, 5, 40.0, 20.0, 1.5),
+         VolumeGrid((6, 6, 4), 1.0, origin=(0.0, -0.5, 0.0))),
+        # a non-square in-plane shape
+        (make_fan_geometry(32, 11, 40.0, 20.0), VolumeGrid((10, 9), 1.0)),
+        (make_cone_geometry(32, 4, 5, 40.0, 20.0, 1.5), VolumeGrid((6, 5, 6), 1.0)),
+    ],
+)
+def test_setups_without_the_symmetry_store_every_row(geom, grid):
+    op = bind(geom, grid)
+    assert op._n_blocks == 1
+    assert op._matrix.shape[0] == geom.n_rays
+
+
+def test_cache_evicts_the_least_recently_used_setup(monkeypatch):
+    monkeypatch.setattr(projector, "_MATRICES", {})
+    builds = []
+    ray_bundle = projector.ray_bundle
+
+    def counting_ray_bundle(geom):
+        builds.append(geom)
+        return ray_bundle(geom)
+
+    monkeypatch.setattr(projector, "ray_bundle", counting_ray_bundle)
+    grid = VolumeGrid((10, 10), 1.0)
+    geom_a, geom_b, geom_c = (make_fan_geometry(8, 13, d, 19.0) for d in (41.0, 43.0, 47.0))
+    sizes = [projector._matrix_bytes(bind(geom, grid)._matrix) for geom in (geom_a, geom_b, geom_c)]
+    projector._MATRICES.clear()
+    builds.clear()
+    # room for two of the three setups
+    monkeypatch.setattr(projector, "_CACHE_BYTES", sum(sizes) - 1)
+    bind(geom_a, grid)
+    op_b = bind(geom_b, grid)
+    x = np.random.default_rng(18).random(grid.shape)
+    before = op_b.forward(x)
+    bind(geom_a, grid)  # a is now more recently used than b
+    bind(geom_c, grid)
+    assert list(projector._MATRICES) == [(geom_a, grid), (geom_c, grid)]
+    assert len(builds) == 3
+    # the evicted block lives on in the projector that holds it
+    assert np.array_equal(op_b.forward(x), before)
+    again = bind(geom_b, grid)
+    assert len(builds) == 4
+    assert np.array_equal(again.forward(x), before)
+    bind(geom_b, grid)
+    assert len(builds) == 4
+    assert list(projector._MATRICES) == [(geom_c, grid), (geom_b, grid)]
