@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidGeometryError
 from .geometry import ConeGeometry, FanGeometry, VolumeGrid
-from .projector import Sinogram, Volume
+from .projector import Sinogram, Volume, _linear_taps
 
 _WINDOWS = ("ram-lak", "hann")
 
@@ -122,19 +122,6 @@ def _lateral_coords(grid: VolumeGrid, angle: float, d_src: float):
     safe = np.where(valid, mag, 1.0)
     s_virtual = r_perp / safe
     return safe, valid, s_virtual
-
-
-def _linear_taps(fi: np.ndarray, n: int, valid=True):
-    """Linear-interpolation taps (j0, w0, j1, w1) at fractional indices fi.
-
-    Indices are clipped into [0, n); a tap outside the row, or where valid is
-    False, gets weight 0.
-    """
-    j = np.floor(fi).astype(np.int64)
-    w = fi - j
-    w0 = np.where(valid & (j >= 0) & (j < n), 1.0 - w, 0.0)
-    w1 = np.where(valid & (j >= -1) & (j < n - 1), w, 0.0)
-    return np.clip(j, 0, n - 1), w0, np.clip(j + 1, 0, n - 1), w1
 
 
 def fbp_fan(p: Sinogram, grid: VolumeGrid, window: str = "ram-lak") -> Volume:

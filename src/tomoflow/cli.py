@@ -2,7 +2,7 @@
 
 Every command takes --out and writes its products there along with a
 manifest JSON recording the parameters and seeds that produced them; with
-fixed seeds, reruns reproduce the data files bitwise for any --threads value.
+fixed seeds, reruns reproduce the data files bitwise.
 Metric reports include a wall-clock runtime_seconds field by default, which
 is inherently machine-dependent; pass --no-timings to omit it when byte
 stable reports are needed.
@@ -49,7 +49,7 @@ from .metrics import compute_metrics
 from .network import NetArch, init_params
 from .ode import OdeConfig, reconstruct_node
 from .phantoms import NoiseModel, PhantomSpec, make_phantom, simulate_measurement
-from .projector import Volume, set_default_threads
+from .projector import Volume
 from .training import (
     Checkpoint,
     TrainConfig,
@@ -400,11 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument(
-            "--threads", type=int, default=None,
-            help="thread cap (>= 1), accepted and validated; the projector's sparse "
-                 "mat-vec is single-threaded, so results are bitwise identical for any value",
-        )
 
     sp = sub.add_parser("simulate", help="generate a phantom and its measured sinogram")
     sp.add_argument("--config", required=True, help="JSON: phantom, geometry, noise, seed")
@@ -453,10 +448,6 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        if args.threads < 1:
-            parser.error("--threads must be >= 1")
-        set_default_threads(args.threads)
     if getattr(args, "untrained", False) and args.gamma is None:
         args.gamma = 0.01
     try:

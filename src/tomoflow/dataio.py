@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError
-from .geometry import FanGeometry, VolumeGrid, geometry_from_dict, geometry_to_dict
+from .geometry import ConeGeometry, FanGeometry, VolumeGrid, geometry_from_dict, geometry_to_dict
 from .projector import Sinogram, Volume
 
 VOLUME_MAGIC = b"CTV1"
@@ -58,12 +58,12 @@ def _read_header(raw: bytes, magic: bytes, path) -> tuple:
 
 def _read_payload(raw: bytes, shape, path) -> np.ndarray:
     expected = int(np.prod(shape))
-    payload = np.frombuffer(raw[HEADER_SIZE:], dtype="<f4")
-    if payload.size != expected:
+    if len(raw) - HEADER_SIZE != 4 * expected:
         raise DataFormatError(
-            f"{path}: payload has {payload.size} values, header promises {expected}"
+            f"{path}: payload has {len(raw) - HEADER_SIZE} bytes, header promises "
+            f"{expected} f32 values"
         )
-    return payload.astype(np.float64).reshape(shape)
+    return np.frombuffer(raw[HEADER_SIZE:], dtype="<f4").astype(np.float64).reshape(shape)
 
 
 def _sidecar_path(path) -> Path:
@@ -137,9 +137,7 @@ def load_sinogram(path) -> Sinogram:
     else:
         kind, d_src, d_det, a0, a1 = struct.unpack("<Iffff", raw[28:48])
         if kind == 1:
-            from .geometry import FanGeometry as _Fan
-
-            geom = _Fan(
+            geom = FanGeometry(
                 n_angles=dims[0],
                 n_detectors=dims[1],
                 source_distance=d_src,
@@ -148,9 +146,7 @@ def load_sinogram(path) -> Sinogram:
                 angular_range=(a0, a1),
             )
         else:
-            from .geometry import ConeGeometry as _Cone
-
-            geom = _Cone(
+            geom = ConeGeometry(
                 n_angles=dims[0],
                 detector_rows=dims[1],
                 detector_cols=dims[2],

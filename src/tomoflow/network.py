@@ -478,6 +478,8 @@ def load_net_params(path) -> NetParams:
     raw = Path(path).read_bytes()
     if raw[:4] != PARAMS_MAGIC:
         raise DataFormatError(f"{path}: not a network parameter file")
+    if len(raw) < 28:
+        raise DataFormatError(f"{path}: file shorter than the 28-byte header")
     version, n_levels, base_channels, kernel_size, dims, norm = struct.unpack(
         "<6I", raw[4:28]
     )
@@ -490,10 +492,10 @@ def load_net_params(path) -> NetParams:
         dims=dims,
         instance_norm=bool(norm),
     )
-    vec = np.frombuffer(raw[28:], dtype="<f8")
     expected = _n_params(arch)
-    if vec.size != expected:
+    if len(raw) - 28 != 8 * expected:
         raise DataFormatError(
-            f"{path}: payload has {vec.size} values, architecture needs {expected}"
+            f"{path}: payload has {len(raw) - 28} bytes, architecture needs "
+            f"{expected} f8 values"
         )
-    return NetParams.from_flat(arch, vec)
+    return NetParams.from_flat(arch, np.frombuffer(raw[28:], dtype="<f8"))

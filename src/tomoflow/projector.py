@@ -29,8 +29,7 @@ break it.
 The cache is least-recently-used and bounded by the bytes of its blocks
 (_CACHE_BYTES); an evicted block lives on in any BoundProjector holding it.
 
-The mat-vec runs on one thread.  Thread caps are validated and otherwise
-ignored, so results are bitwise identical for every thread count.
+The mat-vec is single-threaded.
 
 Out-of-grid interpolation taps are dropped (zero padding), never clamped,
 which keeps A linear.  All arithmetic is double precision; single precision
@@ -55,30 +54,9 @@ from .geometry import (
     ray_bundle,
 )
 
-_default_threads = 1
-
-
-def set_default_threads(n: int) -> None:
-    """Set the thread cap used when an operation gets threads=None.
-
-    The cap is validated and recorded.  The projector's sparse mat-vec runs on
-    one thread, so no cap changes a result.
-    """
-    global _default_threads
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"thread count must be a positive integer, got {n!r}")
-    _default_threads = int(n)
-
-
 def get_default_threads() -> int:
-    return _default_threads
-
-
-def _check_threads(threads) -> None:
-    if threads is None:
-        return
-    if not isinstance(threads, (int, np.integer)) or isinstance(threads, bool) or threads < 1:
-        raise ValueError(f"thread count must be a positive integer, got {threads!r}")
+    """The projector's thread count: always 1, since its mat-vec is single-threaded."""
+    return 1
 
 
 @dataclass
@@ -144,56 +122,17 @@ class Sinogram:
         return Sinogram(self.geom, self.values.copy())
 
 
-def _taps_for_axis(grid: VolumeGrid, org: np.ndarray, dirs: np.ndarray, axis: int):
-    """Interpolation taps for a group of rays sharing one driving axis.
+def _linear_taps(fi: np.ndarray, n: int, valid=True):
+    """Linear-interpolation taps (j0, w0, j1, w1) at fractional indices fi.
 
-    Returns (lins, ws, scale): lins is a list of (rays, n_slices) int64 arrays of
-    flat voxel indices, ws the matching weights (zero where the tap falls off
-    the grid; those indices are clipped so gathers stay in bounds), and scale
-    the per-ray step length voxel_size / |d_axis| in mm.
+    Indices are clipped into [0, n); a tap outside the row, or where valid is
+    False, gets weight 0.
     """
-    nd = grid.ndim
-    shape = grid.shape
-    strides = [int(np.prod(shape[a + 1:], dtype=np.int64)) for a in range(nd)]
-    n_slices = shape[axis]
-
-    d_axis = dirs[:, axis]
-    centers = grid.axis_centers(axis)
-    t = (centers[None, :] - org[:, axis:axis + 1]) / d_axis[:, None]
-    scale = grid.voxel_size / np.abs(d_axis)
-
-    base = np.arange(n_slices, dtype=np.int64)[None, :] * strides[axis]
-
-    perp_taps = []
-    for o in range(nd):
-        if o == axis:
-            continue
-        n_o = shape[o]
-        c0 = grid.origin[o] - (n_o - 1) / 2.0 * grid.voxel_size
-        pos = org[:, o:o + 1] + t * dirs[:, o:o + 1]
-        f = (pos - c0) / grid.voxel_size
-        j = np.floor(f).astype(np.int64)
-        w_hi = f - j
-        valid_lo = (j >= 0) & (j < n_o)
-        valid_hi = (j >= -1) & (j < n_o - 1)
-        j_lo = np.clip(j, 0, n_o - 1) * strides[o]
-        j_hi = np.clip(j + 1, 0, n_o - 1) * strides[o]
-        w_lo = np.where(valid_lo, 1.0 - w_hi, 0.0)
-        w_hi = np.where(valid_hi, w_hi, 0.0)
-        perp_taps.append(((j_lo, w_lo), (j_hi, w_hi)))
-
-    if nd == 2:
-        (taps,) = perp_taps
-        lins = [base + taps[0][0], base + taps[1][0]]
-        ws = [taps[0][1], taps[1][1]]
-    else:
-        t1, t2 = perp_taps
-        lins, ws = [], []
-        for j1, w1 in t1:
-            for j2, w2 in t2:
-                lins.append(base + j1 + j2)
-                ws.append(w1 * w2)
-    return lins, ws, scale
+    j = np.floor(fi).astype(np.int64)
+    w = fi - j
+    w0 = np.where(valid & (j >= 0) & (j < n), 1.0 - w, 0.0)
+    w1 = np.where(valid & (j >= -1) & (j < n - 1), w, 0.0)
+    return np.clip(j, 0, n - 1), w0, np.clip(j + 1, 0, n - 1), w1
 
 
 # Cached system-matrix blocks by (geometry, grid), least recently used first.
@@ -214,11 +153,17 @@ _BUILD_CHUNK_RAYS = 1024
 def _matrix_rows(grid: VolumeGrid, org: np.ndarray, dirs: np.ndarray) -> sp.csr_matrix:
     """Rows of A for a run of rays: scaled Joseph weights, zero taps dropped.
 
-    Each ray's taps fill one row of a dense (rays, taps) table, padded with
-    zeros where its driving axis has fewer slices, so the kept entries come
-    out in CSR order.
+    Rays are grouped by driving axis, the dominant component of their
+    direction.  A ray meets each slice along that axis once; on every other
+    axis it gets two linear-interpolation taps, and the taps of all those
+    axes are combined as an outer product, times the step length
+    voxel_size / |d_axis|.  Each ray's taps fill one row of a dense
+    (rays, taps) table, padded with zeros where its driving axis has fewer
+    slices, so the kept entries come out in CSR order.
     """
-    n_taps = 2 ** (grid.ndim - 1) * max(grid.shape)
+    shape = grid.shape
+    strides = [int(np.prod(shape[a + 1:], dtype=np.int64)) for a in range(grid.ndim)]
+    n_taps = 2 ** (grid.ndim - 1) * max(shape)
     weights = np.zeros((len(org), n_taps))
     cols = np.zeros((len(org), n_taps), dtype=np.int64)
     driving = np.argmax(np.abs(dirs), axis=1)
@@ -226,8 +171,22 @@ def _matrix_rows(grid: VolumeGrid, org: np.ndarray, dirs: np.ndarray) -> sp.csr_
         gsel = np.flatnonzero(driving == axis)
         if len(gsel) == 0:
             continue
-        lins, ws, scale = _taps_for_axis(grid, org[gsel], dirs[gsel], axis)
-        k = len(lins) * grid.shape[axis]
+        o, d = org[gsel], dirs[gsel]
+        t = (grid.axis_centers(axis)[None, :] - o[:, axis:axis + 1]) / d[:, axis:axis + 1]
+        # per tap: (rays, slices) flat voxel indices and weights
+        lins = [np.arange(shape[axis], dtype=np.int64) * strides[axis]]
+        ws = []
+        for p in range(grid.ndim):
+            if p == axis:
+                continue
+            c0 = grid.origin[p] - (shape[p] - 1) / 2.0 * grid.voxel_size
+            f = (o[:, p:p + 1] + t * d[:, p:p + 1] - c0) / grid.voxel_size
+            j0, w0, j1, w1 = _linear_taps(f, shape[p])
+            j0, j1 = j0 * strides[p], j1 * strides[p]
+            lins = [lin + j for lin in lins for j in (j0, j1)]
+            ws = [wt * wp for wt in ws for wp in (w0, w1)] if ws else [w0, w1]
+        scale = grid.voxel_size / np.abs(d[:, axis])
+        k = len(lins) * shape[axis]
         weights[gsel, :k] = (np.stack(ws, axis=-1) * scale[:, None, None]).reshape(len(gsel), k)
         cols[gsel, :k] = np.stack(lins, axis=-1).reshape(len(gsel), k)
     keep = weights != 0.0
@@ -343,20 +302,14 @@ def _apply_adjoint(
     return out
 
 
-def forward_project_array(
-    values: np.ndarray, grid: VolumeGrid, geom: Geometry, threads=None
-) -> np.ndarray:
+def forward_project_array(values: np.ndarray, grid: VolumeGrid, geom: Geometry) -> np.ndarray:
     """Array-level forward projection; returns flat ray integrals, length R."""
-    _check_threads(threads)
     mat, g = _system_matrix(geom, grid)
     return _apply(mat, g, values, grid)
 
 
-def back_project_array(
-    p_values: np.ndarray, grid: VolumeGrid, geom: Geometry, threads=None
-) -> np.ndarray:
+def back_project_array(p_values: np.ndarray, grid: VolumeGrid, geom: Geometry) -> np.ndarray:
     """Array-level exact adjoint; returns a volume-shaped array."""
-    _check_threads(threads)
     mat, g = _system_matrix(geom, grid)
     return _apply_adjoint(mat.T, g, p_values, grid)
 
@@ -368,7 +321,7 @@ def _check_dims(geom: Geometry, grid: VolumeGrid):
         )
 
 
-def forward_project(x: Volume, geom: Geometry, threads=None) -> Sinogram:
+def forward_project(x: Volume, geom: Geometry) -> Sinogram:
     """Apply the forward operator A: line integrals of x along every ray.
 
     Linear in x, deterministic, and matched exactly to back_project.
@@ -376,25 +329,24 @@ def forward_project(x: Volume, geom: Geometry, threads=None) -> Sinogram:
     _check_dims(geom, x.grid)
     if not np.all(np.isfinite(x.values)):
         raise ValueError("volume contains non-finite values")
-    flat = forward_project_array(x.values, x.grid, geom, threads)
+    flat = forward_project_array(x.values, x.grid, geom)
     return Sinogram(geom, flat.reshape((geom.n_angles,) + geom.detector_shape))
 
 
-def back_project(p: Sinogram, grid: VolumeGrid, threads=None) -> Volume:
+def back_project(p: Sinogram, grid: VolumeGrid) -> Volume:
     """Apply the exact adjoint A^T (backprojection) onto the given grid."""
     _check_dims(p.geom, grid)
     if not np.all(np.isfinite(p.values)):
         raise ValueError("sinogram contains non-finite values")
-    return Volume(grid, back_project_array(p.values, grid, p.geom, threads))
+    return Volume(grid, back_project_array(p.values, grid, p.geom))
 
 
-def dense_matrix(geom: Geometry, grid: VolumeGrid, threads=None) -> np.ndarray:
+def dense_matrix(geom: Geometry, grid: VolumeGrid) -> np.ndarray:
     """Materialize A as a dense (N, M) matrix.
 
     Only sensible at toy scale; used to cross-check the operators.  Block k
     is the cached block with its columns permuted by the block's rotation.
     """
-    _check_threads(threads)
     mat, g = _system_matrix(geom, grid)
     block = mat.toarray()
     voxels = np.arange(grid.n_voxels).reshape(grid.shape)
@@ -436,9 +388,7 @@ def bind(geom: Geometry, grid: VolumeGrid) -> BoundProjector:
     return BoundProjector(geom, grid)
 
 
-def op_norm_estimate(
-    geom: Geometry, grid: VolumeGrid, n_power_iters: int, threads=None
-) -> float:
+def op_norm_estimate(geom: Geometry, grid: VolumeGrid, n_power_iters: int) -> float:
     """Power-iteration estimate of the spectral norm ||A||_2.
 
     One iteration applies A and A^T once.  The estimate is the Rayleigh
@@ -453,11 +403,11 @@ def op_norm_estimate(
     v /= np.linalg.norm(v)
     sigma = 0.0
     for _ in range(int(n_power_iters)):
-        w = forward_project_array(v, grid, geom, threads)
+        w = forward_project_array(v, grid, geom)
         sigma = float(np.linalg.norm(w))
         if sigma == 0.0:
             return 0.0
-        z = back_project_array(w, grid, geom, threads)
+        z = back_project_array(w, grid, geom)
         nz = np.linalg.norm(z)
         if nz == 0.0:
             return sigma

@@ -222,12 +222,16 @@ def load_checkpoint(path) -> Checkpoint:
             magic = fh.read(4)
             if magic != OPT_MAGIC:
                 raise DataFormatError(f"{opt_path}: bad magic {magic!r}")
-            version, t, n = struct.unpack("<IQI", fh.read(16))
+            head = fh.read(16)
+            if len(head) != 16:
+                raise DataFormatError(f"{opt_path}: truncated header")
+            version, t, n = struct.unpack("<IQI", head)
             if version != OPT_VERSION:
                 raise DataFormatError(f"{opt_path}: unsupported version {version}")
-            payload = np.frombuffer(fh.read(3 * n * 8), dtype="<f8")
-            if payload.size != 3 * n:
+            body = fh.read(3 * n * 8)
+            if len(body) != 3 * n * 8:
                 raise DataFormatError(f"{opt_path}: truncated payload")
+            payload = np.frombuffer(body, dtype="<f8")
             adam = AdamState(
                 payload[:n].astype(np.float64),
                 payload[n : 2 * n].astype(np.float64),

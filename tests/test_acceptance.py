@@ -36,8 +36,6 @@ from tomoflow.projector import (
     bind,
     dense_matrix,
     forward_project,
-    get_default_threads,
-    set_default_threads,
 )
 from tomoflow.training import TrainConfig, fov_mask, l1_fov_loss, train
 
@@ -329,73 +327,68 @@ def test_criterion_10_metric_self_consistency():
 def test_criterion_11_cli_determinism(tmp_path):
     from tomoflow.dataio import save_sinogram, save_volume
 
-    threads_before = get_default_threads()
-    try:
-        sim_cfg = tmp_path / "sim.json"
-        sim_cfg.write_text(json.dumps({
-            "phantom": {"kind": "disk_set", "size": [32, 32], "seed": 5},
-            "geometry": {
-                "kind": "fan", "n_angles": 24, "n_detectors": 63,
-                "source_distance": 75.0, "detector_distance": 75.0,
-                "detector_pixel_size": 1.5,
-            },
-            "noise": {"kind": "gaussian", "sigma": 0.002},
-            "seed": 7,
-        }))
+    sim_cfg = tmp_path / "sim.json"
+    sim_cfg.write_text(json.dumps({
+        "phantom": {"kind": "disk_set", "size": [32, 32], "seed": 5},
+        "geometry": {
+            "kind": "fan", "n_angles": 24, "n_detectors": 63,
+            "source_distance": 75.0, "detector_distance": 75.0,
+            "detector_pixel_size": 1.5,
+        },
+        "noise": {"kind": "gaussian", "sigma": 0.002},
+        "seed": 7,
+    }))
 
-        data = tmp_path / "data"
-        data.mkdir()
-        geom = make_fan_geometry(6, 11, 30.0, 20.0, detector_pixel_size=1.5)
-        for i in range(3):
-            truth = make_phantom(PhantomSpec(kind="disk_set", size=(8, 8), seed=i))
-            save_volume(data / f"t{i}.ctv", truth)
-            save_sinogram(data / f"s{i}.cts", simulate_measurement(truth, geom, NoiseModel(kind="none")))
-        train_cfg = data / "train.json"
-        train_cfg.write_text(json.dumps({
-            "train": [{"sinogram": "s0.cts", "target": "t0.ctv"},
-                      {"sinogram": "s1.cts", "target": "t1.ctv"}],
-            "val": [{"sinogram": "s2.cts", "target": "t2.ctv"}],
-            "arch": {"n_levels": 1, "base_channels": 2},
-            "train_cfg": {"epochs": 2, "seed": 3, "lr_net": 1e-3},
-        }))
+    data = tmp_path / "data"
+    data.mkdir()
+    geom = make_fan_geometry(6, 11, 30.0, 20.0, detector_pixel_size=1.5)
+    for i in range(3):
+        truth = make_phantom(PhantomSpec(kind="disk_set", size=(8, 8), seed=i))
+        save_volume(data / f"t{i}.ctv", truth)
+        save_sinogram(data / f"s{i}.cts", simulate_measurement(truth, geom, NoiseModel(kind="none")))
+    train_cfg = data / "train.json"
+    train_cfg.write_text(json.dumps({
+        "train": [{"sinogram": "s0.cts", "target": "t0.ctv"},
+                  {"sinogram": "s1.cts", "target": "t1.ctv"}],
+        "val": [{"sinogram": "s2.cts", "target": "t2.ctv"}],
+        "arch": {"n_levels": 1, "base_channels": 2},
+        "train_cfg": {"epochs": 2, "seed": 3, "lr_net": 1e-3},
+    }))
 
-        scan = tmp_path / "scan"
-        assert main(["simulate", "--config", str(sim_cfg), "--threads", "1",
-                     "--out", str(scan)]) == 0
+    scan = tmp_path / "scan"
+    assert main(["simulate", "--config", str(sim_cfg), "--out", str(scan)]) == 0
 
-        commands = {
-            "simulate": ["simulate", "--config", str(sim_cfg)],
-            "reconstruct": [
-                "reconstruct", "--method", "node", "--untrained",
-                "--sinogram", str(scan / "sinogram.cts"),
-                "--reference", str(scan / "phantom.ctv"),
-                "--grid-shape", "32,32", "--slices", "--no-timings",
-            ],
-            "train": ["train", "--config", str(train_cfg)],
-            "eval": [
-                "eval", "--reconstruction", str(scan / "phantom.ctv"),
-                "--reference", str(scan / "phantom.ctv"),
-                "--sinogram", str(scan / "sinogram.cts"), "--no-timings",
-            ],
-        }
+    commands = {
+        "simulate": ["simulate", "--config", str(sim_cfg)],
+        "reconstruct": [
+            "reconstruct", "--method", "node", "--untrained",
+            "--sinogram", str(scan / "sinogram.cts"),
+            "--reference", str(scan / "phantom.ctv"),
+            "--grid-shape", "32,32", "--slices", "--no-timings",
+        ],
+        "train": ["train", "--config", str(train_cfg)],
+        "eval": [
+            "eval", "--reconstruction", str(scan / "phantom.ctv"),
+            "--reference", str(scan / "phantom.ctv"),
+            "--sinogram", str(scan / "sinogram.cts"), "--no-timings",
+        ],
+    }
 
-        mismatches = []
-        for name, argv in commands.items():
-            outs = []
-            for run in ("a", "b"):
-                out = tmp_path / f"{name}_{run}"
-                assert main(argv + ["--threads", "1", "--out", str(out)]) == 0
-                outs.append(out)
-            files_a = sorted(p.name for p in outs[0].iterdir())
-            files_b = sorted(p.name for p in outs[1].iterdir())
-            if files_a != files_b:
-                mismatches.append(f"{name}: file lists differ")
-                continue
-            for fname in files_a:
-                if (outs[0] / fname).read_bytes() != (outs[1] / fname).read_bytes():
-                    mismatches.append(f"{name}: {fname}")
-        record(11, not mismatches,
-               "all four commands bitwise reproducible" if not mismatches
-               else "; ".join(mismatches))
-    finally:
-        set_default_threads(threads_before)
+    mismatches = []
+    for name, argv in commands.items():
+        outs = []
+        for run in ("a", "b"):
+            out = tmp_path / f"{name}_{run}"
+            assert main(argv + ["--out", str(out)]) == 0
+            outs.append(out)
+        files_a = sorted(p.name for p in outs[0].iterdir())
+        files_b = sorted(p.name for p in outs[1].iterdir())
+        if files_a != files_b:
+            mismatches.append(f"{name}: file lists differ")
+            continue
+        for fname in files_a:
+            if (outs[0] / fname).read_bytes() != (outs[1] / fname).read_bytes():
+                mismatches.append(f"{name}: {fname}")
+    record(11, not mismatches,
+           "all four commands bitwise reproducible" if not mismatches
+           else "; ".join(mismatches))

@@ -14,17 +14,10 @@ from tomoflow import __version__
 from tomoflow.cli import main
 from tomoflow.dataio import save_sinogram, save_volume
 from tomoflow.geometry import VolumeGrid, make_fan_geometry
+from tomoflow.network import NetArch, init_params, save_net_params
 from tomoflow.phantoms import NoiseModel, PhantomSpec, make_phantom, simulate_measurement
-from tomoflow.projector import Volume, get_default_threads, set_default_threads
+from tomoflow.projector import Volume
 from tomoflow.training import load_checkpoint
-
-
-@pytest.fixture(autouse=True)
-def _restore_thread_default():
-    # --threads mutates module-global state; keep tests independent
-    before = get_default_threads()
-    yield
-    set_default_threads(before)
 
 
 def cli(*argv):
@@ -242,7 +235,7 @@ def test_reconstruct_rerun_is_bitwise_with_threads_1(fan_scan, tmp_path):
         "reconstruct", "--method", "node", "--untrained",
         "--sinogram", fan_scan / "sinogram.cts",
         "--reference", fan_scan / "phantom.ctv", "--grid-shape", "32,32",
-        "--threads", "1", "--no-timings",
+        "--no-timings",
     )
     assert cli(*argv, "--out", tmp_path / "a") == 0
     assert cli(*argv, "--out", tmp_path / "b") == 0
@@ -269,6 +262,19 @@ def test_node_checkpoint_untrained_conflict_exits_2(fan_scan, tmp_path, capsys):
     )
     assert code == 2
     assert "mutually exclusive" in capsys.readouterr().err
+
+
+def test_truncated_checkpoint_exits_3(fan_scan, tmp_path, capsys):
+    ckpt = tmp_path / "short.ckpt"
+    save_net_params(ckpt, init_params(NetArch(), seed=0))
+    ckpt.write_bytes(ckpt.read_bytes()[:10])
+    code = cli(
+        "reconstruct", "--method", "node", "--checkpoint", ckpt,
+        "--sinogram", fan_scan / "sinogram.cts",
+        "--grid-shape", "32,32", "--out", tmp_path / "out",
+    )
+    assert code == 3
+    assert "short.ckpt" in capsys.readouterr().err
 
 
 def test_fdk_rejects_fan_data(fan_scan, tmp_path, capsys):
@@ -524,20 +530,3 @@ def test_version_flag(capsys):
         cli("--version")
     assert excinfo.value.code == 0
     assert capsys.readouterr().out.strip() == f"tomoflow {__version__}"
-
-
-def test_threads_zero_rejected(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        cli("reconstruct", "--method", "fbp", "--sinogram", "x",
-            "--out", "y", "--threads", "0")
-    assert excinfo.value.code == 2
-    assert "--threads must be >= 1" in capsys.readouterr().err
-
-
-def test_threads_flag_sets_default(fan_scan, tmp_path):
-    assert cli(
-        "reconstruct", "--method", "fbp",
-        "--sinogram", fan_scan / "sinogram.cts",
-        "--grid-shape", "32,32", "--threads", "3", "--out", tmp_path,
-    ) == 0
-    assert get_default_threads() == 3

@@ -127,6 +127,11 @@ def test_volume_loader_rejects_corrupt_files(tmp_path):
     with pytest.raises(DataFormatError):
         load_volume(trimmed)
 
+    ragged = tmp_path / "ragged.ctv"
+    ragged.write_bytes(bytes(raw[:-3]))  # not a whole number of f32 values
+    with pytest.raises(DataFormatError):
+        load_volume(ragged)
+
 
 # --- sinogram files ---
 

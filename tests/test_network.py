@@ -385,3 +385,9 @@ def test_load_rejects_corrupt_files(tmp_path):
     truncated.write_bytes(bytes(raw[:-16]))
     with pytest.raises(DataFormatError):
         load_net_params(truncated)
+
+    # cut inside the header, and to a payload that is not whole f8 values
+    for name, cut in (("header.bin", 10), ("ragged.bin", len(raw) - 3)):
+        (tmp_path / name).write_bytes(bytes(raw[:cut]))
+        with pytest.raises(DataFormatError):
+            load_net_params(tmp_path / name)

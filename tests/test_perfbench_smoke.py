@@ -3,9 +3,11 @@
 perfbench/run.py checks every unit it runs, including that the traced
 counts (projector A/A^T/bind/unbound calls, network and ODE calls) equal the
 values computed from the workload's configuration.  One quick traced run of
-fan-recon keeps the harness and those counts from rotting unnoticed.  One
-quick run of cone-recon takes the 3D projector, with its rotation blocks,
-through the bound and unbound adjoint checks.
+fan-recon keeps the harness and those counts from rotting unnoticed, and one
+of fan-train does the same for the training path: the adjoint solve's aug
+evaluations, the network VJP and the training spans.  One quick run of
+cone-recon takes the 3D projector, with its rotation blocks, through the
+bound and unbound adjoint checks.
 """
 
 import json
@@ -30,6 +32,13 @@ def _quick_run(*args):
 
 def test_quick_traced_fan_recon_is_correct():
     assert _quick_run("--workload", "fan-recon", "--trace", "1")["attempted"] >= 2
+
+
+def test_quick_traced_fan_train_is_correct():
+    metrics = _quick_run("--workload", "fan-train", "--trace", "1")["metrics"]
+    assert metrics["ode.aug.calls"]["value"] > 0
+    assert metrics["network.vjp.calls"]["value"] > 0
+    assert "training.sample.s" in metrics
 
 
 def test_quick_cone_recon_is_correct():

@@ -355,6 +355,12 @@ def test_corrupt_optimizer_state_is_rejected(tmp_path):
     with pytest.raises(DataFormatError):
         load_checkpoint(path)
 
+    # cut inside the header, and to a payload that is not whole f8 values
+    for cut in (10, len(raw) - 3):
+        opt_path.write_bytes(bytes(raw[:cut]))
+        with pytest.raises(DataFormatError):
+            load_checkpoint(path)
+
 
 def test_datasets_are_validated():
     grid, geom, train_set, val_set = tiny_sets()
