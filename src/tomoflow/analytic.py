@@ -97,16 +97,13 @@ def _filtered_projections(p: Sinogram, window: str):
     d_src = geom.source_distance
     rescale = d_src / (d_src + geom.detector_distance)
     ds = geom.detector_pixel_size * rescale
+    s = geom.detector_u_offsets() * rescale
     if isinstance(geom, FanGeometry):
-        s = geom.detector_offsets() * rescale
         weight = d_src / np.sqrt(d_src**2 + s**2)
-        weighted = p.values * weight[None, :]
     else:
-        s = geom.detector_u_offsets() * rescale
         v = geom.detector_v_offsets() * rescale
         weight = d_src / np.sqrt(d_src**2 + s[None, :] ** 2 + v[:, None] ** 2)
-        weighted = p.values * weight[None, :, :]
-    q = ramp_filter(weighted, ds, window) * (ds * 0.5)
+    q = ramp_filter(p.values * weight, ds, window) * (ds * 0.5)
     return q, s[0], ds
 
 

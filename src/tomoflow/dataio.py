@@ -136,6 +136,10 @@ def load_sinogram(path) -> Sinogram:
         geom = geometry_from_dict(doc["geometry"])
     else:
         kind, d_src, d_det, a0, a1 = struct.unpack("<Iffff", raw[28:48])
+        if (kind, len(dims)) not in ((1, 2), (2, 3)):
+            raise DataFormatError(
+                f"{path}: geometry kind {kind} does not fit {len(dims)} header dims"
+            )
         if kind == 1:
             geom = FanGeometry(
                 n_angles=dims[0],

@@ -1,5 +1,9 @@
 """Acquisition geometries for fan-beam (2D) and circular cone-beam (3D) scans.
 
+Both scans share one base class, because a fan scan is the one-row midplane
+(z = 0) of a cone scan: the checks, angles, detector columns and in-plane
+rays are written once, and only the cone's detector rows and height differ.
+
 Conventions used throughout the toolkit:
 
 * The source starts on the +x axis at angle 0 and rotates counter-clockwise.
@@ -45,6 +49,11 @@ def _check_range(value) -> tuple[float, float]:
             f"angular_range must satisfy end > start, got ({start}, {end})"
         )
     return (start, end)
+
+
+def _centred(n: int, step: float) -> np.ndarray:
+    """Centres of n cells of width step, symmetric about 0."""
+    return (np.arange(n) - (n - 1) / 2.0) * step
 
 
 @dataclass(frozen=True)
@@ -97,26 +106,25 @@ class VolumeGrid:
 
     def axis_centers(self, axis: int) -> np.ndarray:
         """Voxel centre coordinates along one axis, in mm."""
-        n = self.shape[axis]
-        return self.origin[axis] + (np.arange(n) - (n - 1) / 2.0) * self.voxel_size
+        return self.origin[axis] + _centred(self.shape[axis], self.voxel_size)
 
 
-@dataclass(frozen=True)
-class FanGeometry:
-    """2D fan-beam scan: point source, linear detector, circular trajectory."""
+class _Scan:
+    """Checks, angles and per-angle frame shared by the fan and cone scans.
 
-    n_angles: int
-    n_detectors: int
-    source_distance: float
-    detector_distance: float
-    detector_pixel_size: float = 1.0
-    angular_range: tuple[float, float] = (0.0, FULL_TURN)
+    Subclasses are frozen dataclasses with the fields n_angles, the detector
+    counts named in _detector_fields, source_distance, detector_distance,
+    detector_pixel_size and angular_range.  The fan, which lies in the z = 0
+    midplane, reads its trajectory_height from here.
+    """
+
+    _detector_fields: tuple[str, ...]
+    _floats = ("source_distance", "detector_distance", "detector_pixel_size")
+    trajectory_height = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "n_angles", _check_count("n_angles", self.n_angles))
-        object.__setattr__(
-            self, "n_detectors", _check_count("n_detectors", self.n_detectors)
-        )
+        for name in ("n_angles",) + self._detector_fields:
+            object.__setattr__(self, name, _check_count(name, getattr(self, name)))
         if not self.source_distance > 0:
             raise InvalidGeometryError(
                 f"source_distance must be > 0, got {self.source_distance}"
@@ -129,16 +137,17 @@ class FanGeometry:
             raise InvalidGeometryError(
                 f"detector_pixel_size must be > 0, got {self.detector_pixel_size}"
             )
-        object.__setattr__(self, "source_distance", float(self.source_distance))
-        object.__setattr__(self, "detector_distance", float(self.detector_distance))
-        object.__setattr__(
-            self, "detector_pixel_size", float(self.detector_pixel_size)
-        )
+        for name in self._floats:
+            object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "angular_range", _check_range(self.angular_range))
 
     @property
+    def detector_shape(self) -> tuple[int, ...]:
+        return tuple(getattr(self, name) for name in self._detector_fields)
+
+    @property
     def ndim(self) -> int:
-        return 2
+        return len(self.detector_shape) + 1
 
     @property
     def angular_increment(self) -> float:
@@ -152,29 +161,43 @@ class FanGeometry:
 
     @property
     def n_rays(self) -> int:
-        return self.n_angles * self.n_detectors
+        return self.n_angles * math.prod(self.detector_shape)
 
-    @property
-    def detector_shape(self) -> tuple[int, ...]:
-        return (self.n_detectors,)
+    def detector_u_offsets(self) -> np.ndarray:
+        """Signed u coordinates of detector column centres, in mm."""
+        return _centred(self.detector_shape[-1], self.detector_pixel_size)
 
-    def detector_offsets(self) -> np.ndarray:
-        """Signed u coordinates of detector pixel centres, in mm."""
-        n = self.n_detectors
-        return (np.arange(n) - (n - 1) / 2.0) * self.detector_pixel_size
+    def _on_trajectory(self, radius: float, angle: float) -> np.ndarray:
+        """The point at signed radius along the source direction, at the trajectory height."""
+        point = [radius * math.cos(angle), radius * math.sin(angle), self.trajectory_height]
+        return np.array(point[: self.ndim])
 
     def source_position(self, angle: float) -> np.ndarray:
-        return self.source_distance * np.array([math.cos(angle), math.sin(angle)])
+        return self._on_trajectory(self.source_distance, angle)
 
     def detector_center(self, angle: float) -> np.ndarray:
-        return -self.detector_distance * np.array([math.cos(angle), math.sin(angle)])
+        return self._on_trajectory(-self.detector_distance, angle)
 
     def detector_u_axis(self, angle: float) -> np.ndarray:
-        return np.array([-math.sin(angle), math.cos(angle)])
+        return np.array([-math.sin(angle), math.cos(angle), 0.0][: self.ndim])
 
 
 @dataclass(frozen=True)
-class ConeGeometry:
+class FanGeometry(_Scan):
+    """2D fan-beam scan: point source, linear detector, circular trajectory."""
+
+    n_angles: int
+    n_detectors: int
+    source_distance: float
+    detector_distance: float
+    detector_pixel_size: float = 1.0
+    angular_range: tuple[float, float] = (0.0, FULL_TURN)
+
+    _detector_fields = ("n_detectors",)
+
+
+@dataclass(frozen=True)
+class ConeGeometry(_Scan):
     """3D circular cone-beam scan with a flat-panel detector."""
 
     n_angles: int
@@ -186,41 +209,15 @@ class ConeGeometry:
     angular_range: tuple[float, float] = (0.0, FULL_TURN)
     trajectory_height: float = 0.0
 
+    _detector_fields = ("detector_rows", "detector_cols")
+    _floats = _Scan._floats + ("trajectory_height",)
+
     def __post_init__(self):
-        object.__setattr__(self, "n_angles", _check_count("n_angles", self.n_angles))
-        object.__setattr__(
-            self, "detector_rows", _check_count("detector_rows", self.detector_rows)
-        )
-        object.__setattr__(
-            self, "detector_cols", _check_count("detector_cols", self.detector_cols)
-        )
-        if not self.source_distance > 0:
-            raise InvalidGeometryError(
-                f"source_distance must be > 0, got {self.source_distance}"
-            )
-        if self.detector_distance < 0:
-            raise InvalidGeometryError(
-                f"detector_distance must be >= 0, got {self.detector_distance}"
-            )
-        if not self.detector_pixel_size > 0:
-            raise InvalidGeometryError(
-                f"detector_pixel_size must be > 0, got {self.detector_pixel_size}"
-            )
-        object.__setattr__(self, "source_distance", float(self.source_distance))
-        object.__setattr__(self, "detector_distance", float(self.detector_distance))
-        object.__setattr__(
-            self, "detector_pixel_size", float(self.detector_pixel_size)
-        )
-        object.__setattr__(self, "trajectory_height", float(self.trajectory_height))
-        object.__setattr__(self, "angular_range", _check_range(self.angular_range))
+        super().__post_init__()
         if self.cone_angle >= math.pi / 2.0:
             raise InvalidGeometryError(
                 f"cone angle {math.degrees(self.cone_angle):.2f} deg must be < 90 deg"
             )
-
-    @property
-    def ndim(self) -> int:
-        return 3
 
     @property
     def cone_angle(self) -> float:
@@ -230,52 +227,8 @@ class ConeGeometry:
             half_height, self.source_distance + self.detector_distance
         )
 
-    @property
-    def angular_increment(self) -> float:
-        start, end = self.angular_range
-        return (end - start) / self.n_angles
-
-    @property
-    def angles(self) -> np.ndarray:
-        start, _ = self.angular_range
-        return start + np.arange(self.n_angles) * self.angular_increment
-
-    @property
-    def n_rays(self) -> int:
-        return self.n_angles * self.detector_rows * self.detector_cols
-
-    @property
-    def detector_shape(self) -> tuple[int, ...]:
-        return (self.detector_rows, self.detector_cols)
-
-    def detector_u_offsets(self) -> np.ndarray:
-        n = self.detector_cols
-        return (np.arange(n) - (n - 1) / 2.0) * self.detector_pixel_size
-
     def detector_v_offsets(self) -> np.ndarray:
-        n = self.detector_rows
-        return (np.arange(n) - (n - 1) / 2.0) * self.detector_pixel_size
-
-    def source_position(self, angle: float) -> np.ndarray:
-        return np.array(
-            [
-                self.source_distance * math.cos(angle),
-                self.source_distance * math.sin(angle),
-                self.trajectory_height,
-            ]
-        )
-
-    def detector_center(self, angle: float) -> np.ndarray:
-        return np.array(
-            [
-                -self.detector_distance * math.cos(angle),
-                -self.detector_distance * math.sin(angle),
-                self.trajectory_height,
-            ]
-        )
-
-    def detector_u_axis(self, angle: float) -> np.ndarray:
-        return np.array([-math.sin(angle), math.cos(angle), 0.0])
+        return _centred(self.detector_rows, self.detector_pixel_size)
 
     def detector_v_axis(self, angle: float) -> np.ndarray:
         return np.array([0.0, 0.0, 1.0])
@@ -351,14 +304,12 @@ def ray_for(
     angle = float(geom.angles[angle_index])
     origin = geom.source_position(angle)
     if isinstance(geom, FanGeometry):
-        j = int(detector_index)
-        if not 0 <= j < geom.n_detectors:
+        col = int(detector_index)
+        if not 0 <= col < geom.n_detectors:
             raise IndexError(
-                f"detector_index {j} out of range [0, {geom.n_detectors})"
+                f"detector_index {col} out of range [0, {geom.n_detectors})"
             )
-        u = geom.detector_offsets()[j]
-        target = geom.detector_center(angle) + u * geom.detector_u_axis(angle)
-        det_idx: int | tuple[int, int] = j
+        det_idx: int | tuple[int, int] = col
     else:
         row, col = detector_index
         if not 0 <= row < geom.detector_rows:
@@ -369,14 +320,12 @@ def ray_for(
             raise IndexError(
                 f"detector col {col} out of range [0, {geom.detector_cols})"
             )
-        u = geom.detector_u_offsets()[col]
-        v = geom.detector_v_offsets()[row]
-        target = (
-            geom.detector_center(angle)
-            + u * geom.detector_u_axis(angle)
-            + v * geom.detector_v_axis(angle)
-        )
         det_idx = (int(row), int(col))
+    u = geom.detector_u_offsets()[col]
+    target = geom.detector_center(angle) + u * geom.detector_u_axis(angle)
+    if isinstance(geom, ConeGeometry):
+        v = geom.detector_v_offsets()[row]
+        target = target + v * geom.detector_v_axis(angle)
     direction = target - origin
     direction = direction / np.linalg.norm(direction)
     return Ray(
@@ -400,47 +349,30 @@ def ray_bundle(geom: Geometry) -> tuple[np.ndarray, np.ndarray]:
     angles = geom.angles
     cos_b = np.cos(angles)
     sin_b = np.sin(angles)
-    if isinstance(geom, FanGeometry):
-        src = geom.source_distance * np.stack([cos_b, sin_b], axis=1)
-        det_c = -geom.detector_distance * np.stack([cos_b, sin_b], axis=1)
-        e_u = np.stack([-sin_b, cos_b], axis=1)
-        u = geom.detector_offsets()
-        targets = det_c[:, None, :] + u[None, :, None] * e_u[:, None, :]
-        origins = np.broadcast_to(src[:, None, :], targets.shape)
-        d = targets - origins
-        d = d / np.linalg.norm(d, axis=-1, keepdims=True)
-        return origins.reshape(-1, 2).copy(), d.reshape(-1, 2)
-    src = np.stack(
-        [
-            geom.source_distance * cos_b,
-            geom.source_distance * sin_b,
-            np.full_like(cos_b, geom.trajectory_height),
-        ],
-        axis=1,
-    )
-    det_c = np.stack(
-        [
-            -geom.detector_distance * cos_b,
-            -geom.detector_distance * sin_b,
-            np.full_like(cos_b, geom.trajectory_height),
-        ],
-        axis=1,
-    )
-    e_u = np.stack([-sin_b, cos_b, np.zeros_like(cos_b)], axis=1)
+    src = geom.source_distance * np.stack([cos_b, sin_b], axis=1)
+    det_c = -geom.detector_distance * np.stack([cos_b, sin_b], axis=1)
+    e_u = np.stack([-sin_b, cos_b], axis=1)
     u = geom.detector_u_offsets()
-    v = geom.detector_v_offsets()
-    # targets[a, r, c] = det_c[a] + u[c] * e_u[a] + v[r] * e_z
-    targets = (
-        det_c[:, None, None, :]
-        + u[None, None, :, None] * e_u[:, None, None, :]
-    )
-    targets = targets + np.concatenate(
-        [np.zeros((len(v), 2)), v[:, None]], axis=1
-    )[None, :, None, :]
-    origins = np.broadcast_to(src[:, None, None, :], targets.shape)
+    # in the trajectory plane: targets[a, c] = det_c[a] + u[c] * e_u[a]
+    targets = det_c[:, None, :] + u[None, :, None] * e_u[:, None, :]
+    origins = np.broadcast_to(src[:, None, :], targets.shape)
+    if isinstance(geom, ConeGeometry):
+        # each row repeats the in-plane rays; z is h at the source, h + v[r] at row r
+        h = geom.trajectory_height
+        v = geom.detector_v_offsets()
+        targets = _lift_to_rows(targets, h + v)
+        origins = _lift_to_rows(origins, np.full_like(v, h))
     d = targets - origins
     d = d / np.linalg.norm(d, axis=-1, keepdims=True)
-    return origins.reshape(-1, 3).copy(), d.reshape(-1, 3)
+    return origins.reshape(-1, geom.ndim).copy(), d.reshape(-1, geom.ndim)
+
+
+def _lift_to_rows(plane: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """In-plane points (A, C, 2) copied to every detector row: (A, R, C, 3), z[r] in row r."""
+    out = np.empty((plane.shape[0], len(z), plane.shape[1], 3))
+    out[..., :2] = plane[:, None]
+    out[..., 2] = z[:, None]
+    return out
 
 
 def geometry_to_dict(geom: Geometry) -> dict:

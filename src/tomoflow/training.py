@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, DivergenceError
-from .geometry import ConeGeometry, FanGeometry, VolumeGrid
+from .geometry import Geometry, VolumeGrid
 from .network import (
     NetArch,
     NetParams,
@@ -58,12 +58,9 @@ def fov_mask(grid: VolumeGrid, geom) -> Volume:
     if geom is None:
         radius = r_grid
     else:
-        if isinstance(geom, FanGeometry):
-            width = geom.n_detectors * geom.detector_pixel_size
-        elif isinstance(geom, ConeGeometry):
-            width = geom.detector_cols * geom.detector_pixel_size
-        else:
+        if not isinstance(geom, Geometry):
             raise TypeError(f"unsupported geometry type {type(geom).__name__}")
+        width = geom.detector_shape[-1] * geom.detector_pixel_size
         half_fan = math.atan2(width / 2.0, geom.source_distance + geom.detector_distance)
         r_geom = geom.source_distance * math.sin(half_fan)
         radius = min(r_geom, r_grid)

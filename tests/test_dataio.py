@@ -171,6 +171,28 @@ def test_sinogram_loads_from_header_alone(tmp_path):
     assert np.array_equal(loaded.values, f32(values))
 
 
+@pytest.mark.parametrize(
+    "geom, kind",
+    [
+        (make_fan_geometry(6, 7, 40.0, 25.0, detector_pixel_size=1.5), 0),
+        (make_fan_geometry(6, 7, 40.0, 25.0, detector_pixel_size=1.5), 2),
+        (make_fan_geometry(6, 7, 40.0, 25.0, detector_pixel_size=1.5), 7),
+        (make_cone_geometry(6, 1, 7, 40.0, 25.0, detector_pixel_size=1.5), 1),
+    ],
+)
+def test_header_kind_word_must_match_the_dims(tmp_path, geom, kind):
+    # without a sidecar the kind word (bytes 28-32) selects the geometry:
+    # 1 (fan) needs 2 header dims and 2 (cone) needs 3, anything else is corrupt
+    path = tmp_path / "s.cts"
+    save_sinogram(path, Sinogram(geom, np.zeros((6,) + geom.detector_shape)))
+    (tmp_path / "s.cts.json").unlink()
+    raw = bytearray(path.read_bytes())
+    raw[28:32] = struct.pack("<I", kind)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataFormatError, match="geometry kind"):
+        load_sinogram(path)
+
+
 def test_sinogram_loader_rejects_bad_magic(tmp_path):
     geom = make_fan_geometry(4, 5, 30.0, 20.0, detector_pixel_size=1.0)
     path = tmp_path / "s.cts"

@@ -181,13 +181,20 @@ def test_sources_on_trajectory_circle():
 
 
 def test_ray_bundle_matches_ray_for():
-    geom = make_cone_geometry(5, 3, 4, 70.0, 35.0, 2.0)
-    origins, dirs = ray_bundle(geom)
-    k = 0
-    for i in range(5):
-        for r in range(3):
-            for c in range(4):
-                ray = ray_for(geom, i, (r, c))
+    # fan and cone share ray_bundle's in-plane rays; the partial-arc cone at
+    # a non-zero height also checks the per-row z coordinates
+    for geom in (
+        make_cone_geometry(5, 3, 4, 70.0, 35.0, 2.0),
+        make_fan_geometry(7, 6, 70.0, 35.0, angular_range=(0.4, 2.5), detector_pixel_size=1.7),
+        make_cone_geometry(6, 3, 5, 80.0, 20.0, 1.5, angular_range=(-0.7, 1.9),
+                           trajectory_height=2.5),
+    ):
+        origins, dirs = ray_bundle(geom)
+        assert origins.shape == dirs.shape == (geom.n_rays, geom.ndim)
+        k = 0
+        for i in range(geom.n_angles):
+            for idx in np.ndindex(*geom.detector_shape):
+                ray = ray_for(geom, i, idx if geom.ndim == 3 else idx[0])
                 assert np.allclose(origins[k], ray.origin, atol=1e-12)
                 assert np.allclose(dirs[k], ray.direction, atol=1e-12)
                 k += 1

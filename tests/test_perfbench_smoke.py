@@ -5,9 +5,9 @@ counts (projector A/A^T/bind/unbound calls, network and ODE calls) equal the
 values computed from the workload's configuration.  One quick traced run of
 fan-recon keeps the harness and those counts from rotting unnoticed, and one
 of fan-train does the same for the training path: the adjoint solve's aug
-evaluations, the network VJP and the training spans.  One quick run of
-cone-recon takes the 3D projector, with its rotation blocks, through the
-bound and unbound adjoint checks.
+evaluations, the network VJP and the training spans.  One untraced and one
+traced quick run of cone-recon take the 3D projector, with its rotation
+blocks, through the bound and unbound adjoint checks and the 3D counts.
 """
 
 import json
@@ -42,4 +42,8 @@ def test_quick_traced_fan_train_is_correct():
 
 
 def test_quick_cone_recon_is_correct():
-    assert _quick_run("--workload", "cone-recon")["attempted"] >= 1
+    # the traced run also checks the 3D call counts: bind, unbound, FDK and
+    # the ray_bundle-derived taps_per_A
+    for trace in ("0", "1"):
+        result = _quick_run("--workload", "cone-recon", "--trace", trace)
+        assert result["attempted"] >= 1 + int(trace)

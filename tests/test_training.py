@@ -8,6 +8,7 @@ history file byte for byte.
 """
 
 import csv
+import logging
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from tomoflow import (
     simulate_measurement,
     train,
 )
+from tomoflow import training
 from tomoflow.training import AdamState, adam_step
 
 
@@ -296,6 +298,61 @@ def test_unstable_gain_aborts_the_run():
     cfg = TrainConfig(epochs=1, seed=0, gamma_init=1e6)
     with pytest.raises(DivergenceError, match="aborted"):
         train(train_set, val_set, arch, OdeConfig(), cfg)
+
+
+# A real solve does not land between "diverges at gamma" and "converges at
+# gamma/2" (or "diverges on one sample only") on these tiny scans, so the two
+# tests below substitute the per-sample solve.
+
+
+def test_diverged_sample_is_retried_at_half_gamma(monkeypatch, caplog):
+    _, _, train_set, val_set = tiny_sets()
+    real = training._sample_loss_and_grads
+    gammas = []
+
+    def first_call_diverges(p, target, params, gamma, *args):
+        gammas.append(gamma)
+        if len(gammas) == 1:
+            raise DivergenceError(3, 1e30)
+        return real(p, target, params, gamma, *args)
+
+    monkeypatch.setattr(training, "_sample_loss_and_grads", first_call_diverges)
+    cfg = TrainConfig(epochs=1, seed=0, lr_net=1e-3)
+    with caplog.at_level(logging.WARNING, logger="tomoflow.training"):
+        ck = train(train_set, val_set, NetArch(n_levels=1, base_channels=2), OdeConfig(), cfg)
+
+    assert gammas[:2] == [cfg.gamma_init, cfg.gamma_init / 2.0]
+    assert len(gammas) == 3  # the retry, then the second sample once
+    assert ck.adam.t == 2  # the retried sample's gradients stepped Adam
+    assert "retrying at gamma/2" in caplog.text
+
+
+def test_a_skipped_sample_does_not_abort_the_run(monkeypatch, caplog, tmp_path):
+    _, _, train_set, val_set = tiny_sets(n_train=5)
+    real = training._sample_loss_and_grads
+    bad = train_set[2][0]
+
+    def one_sample_diverges(p, *args):
+        if p is bad:
+            raise DivergenceError(3, 1e30)
+        return real(p, *args)
+
+    monkeypatch.setattr(training, "_sample_loss_and_grads", one_sample_diverges)
+    history = tmp_path / "history.csv"
+    with caplog.at_level(logging.WARNING, logger="tomoflow.training"):
+        ck = train(
+            train_set,
+            val_set,
+            NetArch(n_levels=1, base_channels=2),
+            OdeConfig(),
+            TrainConfig(epochs=2, seed=0, lr_net=1e-3),
+            history_path=history,
+        )
+
+    # 1 of 5 samples is within the 20 % an epoch may lose; the other 4 step Adam
+    assert [int(r["adam_t"]) for r in read_history(history)] == [0, 4, 8]
+    assert ck.adam.t == 8
+    assert caplog.text.count("diverged again") == 2
 
 
 def test_checkpoint_round_trip(tmp_path):
