@@ -1,11 +1,22 @@
-"""Volume and sinogram files, slice images, and JSON reports.
+"""Record files, slice images, and JSON reports.
 
-Data files are a 64-byte fixed header (magic, version, dims, spacing as f32)
-followed by the raw little-endian f32 payload in C order.  A JSON sidecar
-(path + ".json") duplicates the metadata; because the header stores spacing
-and geometry distances as f32, the loader prefers the sidecar when present
-to keep metadata at full precision.  Payloads are f32 either way, so
-round-trip comparisons of values are exact only to single precision.
+This module owns the one binary record layout that every tomoflow data file
+shares: volumes (.ctv), sinograms (.cts), network parameters and the Adam
+state (.opt.bin).  A record is a 4-byte magic, a little-endian header whose
+first field is the u32 format version, then a little-endian payload whose
+byte count the header fixes exactly.  ``write_record`` writes one;
+``read_record`` checks the magic, version and header length, and
+``record_values`` checks the payload length and decodes it.
+
+Volumes and sinograms use a 64-byte zero-padded header (magic, version,
+ndim, three dims, spacing as f32; sinograms add the geometry kind, source
+and detector distance, and the angular range as f32) followed by the f32
+payload in C order.  A JSON sidecar (path + ".json") duplicates the
+metadata; because the header stores spacing and geometry distances as f32,
+the loader prefers the sidecar when present to keep metadata at full
+precision, after checking that its dims agree with the header.  Payloads are
+f32 either way, so round-trip comparisons of values are exact only to single
+precision.
 """
 
 from __future__ import annotations
@@ -24,46 +35,44 @@ VOLUME_MAGIC = b"CTV1"
 SINOGRAM_MAGIC = b"CTS1"
 FORMAT_VERSION = 1
 HEADER_SIZE = 64
+# version, ndim, three dims (zero-padded), spacing; sinograms add the kind
+# (1 fan, 2 cone), source and detector distance, and the angular range
+VOLUME_HEADER = "<IIIIIf"
+SINOGRAM_HEADER = VOLUME_HEADER + "Iffff"
 
 DISPLAY_WINDOW = (0.0, 0.06)
 
 
-def _pack_header(magic: bytes, dims, spacing: float, extra: bytes = b"") -> bytes:
-    body = magic + struct.pack("<II", FORMAT_VERSION, len(dims))
-    padded_dims = tuple(dims) + (0,) * (3 - len(dims))
-    body += struct.pack("<III", *padded_dims)
-    body += struct.pack("<f", spacing)
-    body += extra
-    if len(body) > HEADER_SIZE:
-        raise DataFormatError(f"header overflow: {len(body)} bytes")
-    return body + b"\x00" * (HEADER_SIZE - len(body))
+def write_record(path, magic: bytes, fmt: str, fields, payload, dtype: str, size: int = 0) -> None:
+    """Magic, the ``fmt`` header (version, *fields) zero-padded to ``size``, then the payload."""
+    header = magic + struct.pack(fmt, FORMAT_VERSION, *fields)
+    with open(path, "wb") as fh:
+        fh.write(header.ljust(size, b"\x00"))
+        fh.write(payload.astype(dtype).tobytes())
 
 
-def _read_header(raw: bytes, magic: bytes, path) -> tuple:
-    if len(raw) < HEADER_SIZE:
-        raise DataFormatError(f"{path}: file shorter than the {HEADER_SIZE}-byte header")
+def read_record(path, magic: bytes, fmt: str, size: int = 0) -> tuple[list, bytes]:
+    """The header fields after the version, and the payload bytes."""
+    raw = Path(path).read_bytes()
+    size = max(size, 4 + struct.calcsize(fmt))
+    if len(raw) < size:
+        raise DataFormatError(f"{path}: file shorter than the {size}-byte header")
     if raw[:4] != magic:
-        raise DataFormatError(
-            f"{path}: bad magic {raw[:4]!r}, expected {magic.decode()}"
-        )
-    version, ndim = struct.unpack("<II", raw[4:12])
+        raise DataFormatError(f"{path}: bad magic {raw[:4]!r}, expected {magic.decode()}")
+    version, *fields = struct.unpack_from(fmt, raw, 4)
     if version != FORMAT_VERSION:
         raise DataFormatError(f"{path}: unsupported format version {version}")
-    dims = struct.unpack("<III", raw[12:24])
-    spacing = struct.unpack("<f", raw[24:28])[0]
-    if ndim not in (2, 3):
-        raise DataFormatError(f"{path}: invalid dimensionality {ndim}")
-    return dims[:ndim], float(spacing)
+    return fields, raw[size:]
 
 
-def _read_payload(raw: bytes, shape, path) -> np.ndarray:
-    expected = int(np.prod(shape))
-    if len(raw) - HEADER_SIZE != 4 * expected:
+def record_values(path, payload: bytes, shape, dtype: str) -> np.ndarray:
+    """The payload as f64 values of ``shape``, which must account for every byte."""
+    count = int(np.prod(shape))
+    if len(payload) != count * np.dtype(dtype).itemsize:
         raise DataFormatError(
-            f"{path}: payload has {len(raw) - HEADER_SIZE} bytes, header promises "
-            f"{expected} f32 values"
+            f"{path}: payload has {len(payload)} bytes, header promises {count} {dtype} values"
         )
-    return np.frombuffer(raw[HEADER_SIZE:], dtype="<f4").astype(np.float64).reshape(shape)
+    return np.frombuffer(payload, dtype=dtype).astype(np.float64).reshape(shape)
 
 
 def _sidecar_path(path) -> Path:
@@ -76,91 +85,107 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
+def write_sidecar(path, doc: dict) -> None:
+    _write_json(_sidecar_path(path), doc)
+
+
+def read_sidecar(path, fields) -> dict:
+    """The JSON object beside ``path``; it must hold every name in ``fields``."""
+    sidecar = _sidecar_path(path)
+    try:
+        doc = json.loads(sidecar.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataFormatError(f"{sidecar}: sidecar is not JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{sidecar}: sidecar is not a JSON object")
+    missing = [name for name in fields if name not in doc]
+    if missing:
+        raise DataFormatError(f"{sidecar}: sidecar lacks {', '.join(missing)}")
+    return doc
+
+
+def _dim_fields(dims) -> tuple:
+    return (len(dims),) + tuple(dims) + (0,) * (3 - len(dims))
+
+
+def _read_grid_record(path, magic: bytes, fmt: str):
+    """(dims, spacing, extra header fields, payload) of a volume or sinogram file."""
+    fields, payload = read_record(path, magic, fmt, HEADER_SIZE)
+    ndim, d0, d1, d2, spacing, *extra = fields
+    if ndim not in (2, 3):
+        raise DataFormatError(f"{path}: invalid dimensionality {ndim}")
+    return (d0, d1, d2)[:ndim], spacing, extra, payload
+
+
+def _check_sidecar_dims(path, dims, header_dims) -> None:
+    if dims != list(header_dims):
+        raise DataFormatError(
+            f"{path}: sidecar dims {dims} disagree with the header dims {list(header_dims)}"
+        )
+
+
 def save_volume(path, vol: Volume) -> None:
-    header = _pack_header(VOLUME_MAGIC, vol.grid.shape, vol.grid.voxel_size)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(vol.values.astype("<f4").tobytes())
-    _write_json(
-        _sidecar_path(path),
+    grid = vol.grid
+    fields = _dim_fields(grid.shape) + (grid.voxel_size,)
+    write_record(path, VOLUME_MAGIC, VOLUME_HEADER, fields, vol.values, "<f4", HEADER_SIZE)
+    write_sidecar(
+        path,
         {
             "format": "CTV1",
-            "shape": list(vol.grid.shape),
-            "voxel_size": vol.grid.voxel_size,
-            "origin": list(vol.grid.origin),
+            "shape": list(grid.shape),
+            "voxel_size": grid.voxel_size,
+            "origin": list(grid.origin),
         },
     )
 
 
 def load_volume(path) -> Volume:
-    raw = Path(path).read_bytes()
-    shape, spacing = _read_header(raw, VOLUME_MAGIC, path)
+    shape, spacing, _, payload = _read_grid_record(path, VOLUME_MAGIC, VOLUME_HEADER)
     origin = None
-    sidecar = _sidecar_path(path)
-    if sidecar.exists():
-        doc = json.loads(sidecar.read_text())
-        shape = tuple(doc["shape"])
+    if _sidecar_path(path).exists():
+        doc = read_sidecar(path, ("shape", "voxel_size"))
+        _check_sidecar_dims(path, doc["shape"], shape)
         spacing = float(doc["voxel_size"])
         origin = tuple(doc.get("origin", ())) or None
-    grid = VolumeGrid(tuple(shape), spacing, origin)
-    return Volume(grid, _read_payload(raw, grid.shape, path))
+    grid = VolumeGrid(shape, spacing, origin)
+    return Volume(grid, record_values(path, payload, shape, "<f4"))
 
 
 def save_sinogram(path, sino: Sinogram) -> None:
     geom = sino.geom
-    dims = (geom.n_angles,) + geom.detector_shape
-    extra = struct.pack(
-        "<Iffff",
+    fields = _dim_fields((geom.n_angles,) + geom.detector_shape) + (
+        geom.detector_pixel_size,
         1 if isinstance(geom, FanGeometry) else 2,
         geom.source_distance,
         geom.detector_distance,
-        geom.angular_range[0],
-        geom.angular_range[1],
+        *geom.angular_range,
     )
-    header = _pack_header(SINOGRAM_MAGIC, dims, geom.detector_pixel_size, extra)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(sino.values.astype("<f4").tobytes())
-    _write_json(
-        _sidecar_path(path),
-        {"format": "CTS1", "geometry": geometry_to_dict(geom)},
-    )
+    write_record(path, SINOGRAM_MAGIC, SINOGRAM_HEADER, fields, sino.values, "<f4", HEADER_SIZE)
+    write_sidecar(path, {"format": "CTS1", "geometry": geometry_to_dict(geom)})
 
 
 def load_sinogram(path) -> Sinogram:
-    raw = Path(path).read_bytes()
-    dims, pixel = _read_header(raw, SINOGRAM_MAGIC, path)
-    sidecar = _sidecar_path(path)
-    if sidecar.exists():
-        doc = json.loads(sidecar.read_text())
-        geom = geometry_from_dict(doc["geometry"])
+    dims, pixel, extra, payload = _read_grid_record(path, SINOGRAM_MAGIC, SINOGRAM_HEADER)
+    kind, d_src, d_det, a0, a1 = extra
+    scan = dict(
+        n_angles=dims[0],
+        source_distance=d_src,
+        detector_distance=d_det,
+        detector_pixel_size=pixel,
+        angular_range=(a0, a1),
+    )
+    if _sidecar_path(path).exists():
+        geom = geometry_from_dict(read_sidecar(path, ("geometry",))["geometry"])
+        _check_sidecar_dims(path, [geom.n_angles, *geom.detector_shape], dims)
+    elif (kind, len(dims)) == (1, 2):
+        geom = FanGeometry(n_detectors=dims[1], **scan)
+    elif (kind, len(dims)) == (2, 3):
+        geom = ConeGeometry(detector_rows=dims[1], detector_cols=dims[2], **scan)
     else:
-        kind, d_src, d_det, a0, a1 = struct.unpack("<Iffff", raw[28:48])
-        if (kind, len(dims)) not in ((1, 2), (2, 3)):
-            raise DataFormatError(
-                f"{path}: geometry kind {kind} does not fit {len(dims)} header dims"
-            )
-        if kind == 1:
-            geom = FanGeometry(
-                n_angles=dims[0],
-                n_detectors=dims[1],
-                source_distance=d_src,
-                detector_distance=d_det,
-                detector_pixel_size=pixel,
-                angular_range=(a0, a1),
-            )
-        else:
-            geom = ConeGeometry(
-                n_angles=dims[0],
-                detector_rows=dims[1],
-                detector_cols=dims[2],
-                source_distance=d_src,
-                detector_distance=d_det,
-                detector_pixel_size=pixel,
-                angular_range=(a0, a1),
-            )
-    values = _read_payload(raw, (geom.n_angles,) + geom.detector_shape, path)
-    return Sinogram(geom, values)
+        raise DataFormatError(
+            f"{path}: geometry kind {kind} does not fit {len(dims)} header dims"
+        )
+    return Sinogram(geom, record_values(path, payload, dims, "<f4"))
 
 
 def write_pgm(path, image: np.ndarray, window=DISPLAY_WINDOW) -> None:

@@ -24,19 +24,19 @@ enabled), which is the order the optimizer and the checkpoint format use.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, ShapeMismatchError
+from .dataio import read_record, record_values, write_record
+from .errors import ShapeMismatchError
 from .projector import Volume
 
 _NORM_VAR_FLOOR = 1e-5
 
 PARAMS_MAGIC = b"CTNP"
-PARAMS_VERSION = 1
+# version, n_levels, base_channels, kernel_size, dims, instance_norm
+PARAMS_HEADER = "<6I"
 
 
 @dataclass(frozen=True)
@@ -455,36 +455,27 @@ def net_vjp(
 
 
 # ---------------------------------------------------------------------------
-# serialization: header (magic, version, arch as little-endian u32) + flat f64
+# serialization: a dataio record whose header holds the arch as u32 words and
+# whose payload is the flat parameter vector as <f8
 
 
 def save_net_params(path, params: NetParams) -> None:
     """Write parameters as a single binary file."""
     arch = params.arch
-    header = PARAMS_MAGIC + struct.pack(
-        "<6I",
-        PARAMS_VERSION,
+    fields = (
         arch.n_levels,
         arch.base_channels,
         arch.kernel_size,
         arch.dims,
         1 if arch.instance_norm else 0,
     )
-    payload = params.flatten().astype("<f8").tobytes()
-    Path(path).write_bytes(header + payload)
+    write_record(path, PARAMS_MAGIC, PARAMS_HEADER, fields, params.flatten(), "<f8")
 
 
 def load_net_params(path) -> NetParams:
-    raw = Path(path).read_bytes()
-    if raw[:4] != PARAMS_MAGIC:
-        raise DataFormatError(f"{path}: not a network parameter file")
-    if len(raw) < 28:
-        raise DataFormatError(f"{path}: file shorter than the 28-byte header")
-    version, n_levels, base_channels, kernel_size, dims, norm = struct.unpack(
-        "<6I", raw[4:28]
+    (n_levels, base_channels, kernel_size, dims, norm), payload = read_record(
+        path, PARAMS_MAGIC, PARAMS_HEADER
     )
-    if version != PARAMS_VERSION:
-        raise DataFormatError(f"{path}: unsupported version {version}")
     arch = NetArch(
         n_levels=n_levels,
         base_channels=base_channels,
@@ -492,10 +483,4 @@ def load_net_params(path) -> NetParams:
         dims=dims,
         instance_norm=bool(norm),
     )
-    expected = _n_params(arch)
-    if len(raw) - 28 != 8 * expected:
-        raise DataFormatError(
-            f"{path}: payload has {len(raw) - 28} bytes, architecture needs "
-            f"{expected} f8 values"
-        )
-    return NetParams.from_flat(arch, np.frombuffer(raw[28:], dtype="<f8"))
+    return NetParams.from_flat(arch, record_values(path, payload, _n_params(arch), "<f8"))

@@ -17,14 +17,14 @@ increase across a resume boundary).
 from __future__ import annotations
 
 import dataclasses
-import json
 import logging
 import math
-import struct
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import read_record, read_sidecar, record_values, write_record, write_sidecar
 from .errors import ConfigError, DataFormatError, DivergenceError
 from .geometry import Geometry, VolumeGrid
 from .network import (
@@ -40,7 +40,9 @@ from .projector import Sinogram, Volume
 logger = logging.getLogger(__name__)
 
 OPT_MAGIC = b"CTOP"
-OPT_VERSION = 1
+# version, Adam step count t, entry count n; the payload is m, v, latest (n each)
+OPT_HEADER = "<IQI"
+_SIDECAR_FIELDS = ("gamma", "epoch", "val_loss", "epochs_completed", "seed", "ode", "train")
 
 
 def fov_mask(grid: VolumeGrid, geom) -> Volume:
@@ -187,57 +189,36 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
         "ode": dataclasses.asdict(ck.ode_cfg),
         "train": dataclasses.asdict(ck.train_cfg),
     }
-    with open(path + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_sidecar(path, sidecar)
     if ck.adam is not None and ck.latest_flat is not None:
-        n = ck.latest_flat.size
-        with open(path + ".opt.bin", "wb") as fh:
-            fh.write(OPT_MAGIC)
-            fh.write(struct.pack("<IQI", OPT_VERSION, ck.adam.t, n))
-            fh.write(ck.adam.m.astype("<f8").tobytes())
-            fh.write(ck.adam.v.astype("<f8").tobytes())
-            fh.write(ck.latest_flat.astype("<f8").tobytes())
+        write_record(
+            path + ".opt.bin",
+            OPT_MAGIC,
+            OPT_HEADER,
+            (ck.adam.t, ck.latest_flat.size),
+            np.concatenate([ck.adam.m, ck.adam.v, ck.latest_flat]),
+            "<f8",
+        )
 
 
 def load_checkpoint(path) -> Checkpoint:
     path = str(path)
     params = load_net_params(path)
-    with open(path + ".json") as fh:
-        sidecar = json.load(fh)
+    sidecar = read_sidecar(path, _SIDECAR_FIELDS)
     ode_cfg = OdeConfig(**sidecar["ode"])
     train_cfg = TrainConfig(**sidecar["train"])
     adam = None
     latest = None
     opt_path = path + ".opt.bin"
-    try:
-        fh = open(opt_path, "rb")
-    except FileNotFoundError:
-        fh = None
-    if fh is not None:
-        with fh:
-            magic = fh.read(4)
-            if magic != OPT_MAGIC:
-                raise DataFormatError(f"{opt_path}: bad magic {magic!r}")
-            head = fh.read(16)
-            if len(head) != 16:
-                raise DataFormatError(f"{opt_path}: truncated header")
-            version, t, n = struct.unpack("<IQI", head)
-            if version != OPT_VERSION:
-                raise DataFormatError(f"{opt_path}: unsupported version {version}")
-            body = fh.read(3 * n * 8)
-            if len(body) != 3 * n * 8:
-                raise DataFormatError(f"{opt_path}: truncated payload")
-            payload = np.frombuffer(body, dtype="<f8")
-            adam = AdamState(
-                payload[:n].astype(np.float64),
-                payload[n : 2 * n].astype(np.float64),
-                int(t),
-                train_cfg.beta1,
-                train_cfg.beta2,
-                train_cfg.eps,
+    if os.path.exists(opt_path):
+        (t, n), payload = read_record(opt_path, OPT_MAGIC, OPT_HEADER)
+        if n != params.n_params + 1:
+            raise DataFormatError(
+                f"{opt_path}: holds {n} entries, the model needs n_params + 1 = "
+                f"{params.n_params + 1}"
             )
-            latest = payload[2 * n :].astype(np.float64)
+        m, v, latest = record_values(opt_path, payload, (3, n), "<f8")
+        adam = AdamState(m, v, int(t), train_cfg.beta1, train_cfg.beta2, train_cfg.eps)
     return Checkpoint(
         params=params,
         gamma=float(sidecar["gamma"]),

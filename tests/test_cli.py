@@ -277,6 +277,24 @@ def test_truncated_checkpoint_exits_3(fan_scan, tmp_path, capsys):
     assert "short.ckpt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("broken", ["sinogram", "reference"])
+@pytest.mark.parametrize("text", ["{}", "not json"], ids=["empty-object", "not-json"])
+def test_broken_sidecar_exits_3(fan_scan, tmp_path, capsys, broken, text):
+    files = {"sinogram": "sinogram.cts", "reference": "phantom.ctv"}
+    for name in files.values():
+        for suffix in ("", ".json"):
+            (tmp_path / (name + suffix)).write_bytes((fan_scan / (name + suffix)).read_bytes())
+    (tmp_path / (files[broken] + ".json")).write_text(text)
+    code = cli(
+        "reconstruct", "--method", "fbp",
+        "--sinogram", tmp_path / files["sinogram"],
+        "--reference", tmp_path / files["reference"],
+        "--out", tmp_path / "out",
+    )
+    assert code == 3
+    assert files[broken] + ".json" in capsys.readouterr().err
+
+
 def test_fdk_rejects_fan_data(fan_scan, tmp_path, capsys):
     code = cli(
         "reconstruct", "--method", "fdk",

@@ -100,6 +100,37 @@ def test_written_volume_header_matches_the_documented_layout(tmp_path):
     assert len(raw) == 64 + 8 * 6 * 4
 
 
+@pytest.mark.parametrize(
+    "geom, kind",
+    [
+        (make_fan_geometry(6, 7, 40.5, 25.25, (0.3, 3.9), detector_pixel_size=1.5), 1),
+        (make_cone_geometry(5, 3, 4, 50.0, 30.0, 2.0, (-0.4, 2.9), 2.5), 2),
+    ],
+)
+def test_written_sinogram_header_matches_the_documented_layout(tmp_path, geom, kind):
+    # after the volume's 28 bytes: u32 geometry kind (1 fan, 2 cone), then f32
+    # source distance, detector distance, angular range start and end
+    path = tmp_path / "s.cts"
+    dims = (geom.n_angles,) + geom.detector_shape
+    save_sinogram(path, Sinogram(geom, np.zeros(dims)))
+    raw = path.read_bytes()
+    assert raw[:4] == b"CTS1"
+    assert struct.unpack("<II", raw[4:12]) == (1, len(dims))
+    assert struct.unpack("<III", raw[12:24]) == dims + (0,) * (3 - len(dims))
+    assert struct.unpack("<f", raw[24:28])[0] == geom.detector_pixel_size
+    words = struct.unpack("<Iffff", raw[28:48])
+    assert words[0] == kind
+    expected = (
+        geom.source_distance,
+        geom.detector_distance,
+        geom.angular_range[0],
+        geom.angular_range[1],
+    )
+    assert words[1:] == tuple(float(np.float32(x)) for x in expected)
+    assert raw[48:64] == b"\x00" * 16
+    assert len(raw) == 64 + 4 * int(np.prod(dims))
+
+
 def test_volume_loader_rejects_corrupt_files(tmp_path):
     grid = VolumeGrid((4, 4), 1.0)
     path = tmp_path / "v.ctv"
@@ -200,6 +231,55 @@ def test_sinogram_loader_rejects_bad_magic(tmp_path):
     raw = bytearray(path.read_bytes())
     path.write_bytes(b"CTV1" + bytes(raw[4:]))  # volume magic on a sinogram
     with pytest.raises(DataFormatError):
+        load_sinogram(path)
+
+
+# --- sidecars ---
+
+
+def saved_volume(tmp_path):
+    path = tmp_path / "v.ctv"
+    save_volume(path, Volume(VolumeGrid((8, 4), 1.0), np.zeros((8, 4))))
+    return path, load_volume
+
+
+def saved_sinogram(tmp_path):
+    path = tmp_path / "s.cts"
+    geom = make_fan_geometry(6, 7, 40.0, 25.0, detector_pixel_size=1.5)
+    save_sinogram(path, Sinogram(geom, np.zeros((6, 7))))
+    return path, load_sinogram
+
+
+@pytest.mark.parametrize("saved", [saved_volume, saved_sinogram])
+@pytest.mark.parametrize(
+    "text",
+    ["not json", "[1, 2]", "{}", '{"format": "CTV1", "voxel_size": 1.0}'],
+    ids=["not-json", "not-an-object", "empty-object", "missing-field"],
+)
+def test_broken_sidecar_is_a_data_format_error(tmp_path, saved, text):
+    path, load = saved(tmp_path)
+    (tmp_path / (path.name + ".json")).write_text(text)
+    with pytest.raises(DataFormatError, match="sidecar"):
+        load(path)
+
+
+def test_volume_sidecar_shape_must_match_the_header(tmp_path):
+    path, _ = saved_volume(tmp_path)
+    sidecar = tmp_path / "v.ctv.json"
+    doc = json.loads(sidecar.read_text())
+    doc["shape"] = [4, 8]  # same voxel count, transposed
+    sidecar.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match="header"):
+        load_volume(path)
+
+
+def test_sinogram_sidecar_dims_must_match_the_header(tmp_path):
+    path, _ = saved_sinogram(tmp_path)
+    sidecar = tmp_path / "s.cts.json"
+    doc = json.loads(sidecar.read_text())
+    doc["geometry"]["n_angles"], doc["geometry"]["n_detectors"] = 7, 6
+    sidecar.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match="header"):
         load_sinogram(path)
 
 

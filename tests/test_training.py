@@ -9,6 +9,7 @@ history file byte for byte.
 
 import csv
 import logging
+import struct
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from tomoflow import (
     train,
 )
 from tomoflow import training
-from tomoflow.training import AdamState, adam_step
+from tomoflow.training import AdamState, Checkpoint, adam_step
 
 
 def tiny_sets(n_train=2, n_val=1, sigma=0.01):
@@ -417,6 +418,66 @@ def test_corrupt_optimizer_state_is_rejected(tmp_path):
         opt_path.write_bytes(bytes(raw[:cut]))
         with pytest.raises(DataFormatError):
             load_checkpoint(path)
+
+    opt_path.write_bytes(bytes(raw) + bytes(24))  # trailing bytes
+    with pytest.raises(DataFormatError):
+        load_checkpoint(path)
+
+    # a whole, well-formed file whose n is not the model's n_params + 1
+    n = ck.params.n_params  # one entry short
+    opt_path.write_bytes(
+        b"CTOP" + struct.pack("<IQI", 1, ck.adam.t, n) + np.zeros(3 * n).tobytes()
+    )
+    with pytest.raises(DataFormatError, match="n_params"):
+        load_checkpoint(path)
+
+
+def hand_checkpoint():
+    """A checkpoint with recognisable optimizer arrays, built without training."""
+    params = init_params(NetArch(n_levels=1, base_channels=2), 3)
+    n = params.n_params + 1
+    return Checkpoint(
+        params=params,
+        gamma=0.25,
+        epoch=1,
+        val_loss=0.5,
+        epochs_completed=2,
+        seed=4,
+        ode_cfg=OdeConfig(),
+        train_cfg=TrainConfig(),
+        adam=AdamState(np.arange(n) * 0.5, np.arange(n) * 0.25 + 1.0, 7),
+        latest_flat=-np.arange(n) / 3.0,
+    )
+
+
+def test_optimizer_file_layout(tmp_path):
+    # magic, then <IQI version, step count t, entry count n, then m, v and
+    # the latest (theta, gamma) vector as <f8
+    ck = hand_checkpoint()
+    path = tmp_path / "model.bin"
+    save_checkpoint(ck, path)
+    raw = (tmp_path / "model.bin.opt.bin").read_bytes()
+    n = ck.params.n_params + 1
+    assert raw[:4] == b"CTOP"
+    assert struct.unpack("<IQI", raw[4:20]) == (1, 7, n)
+    assert len(raw) == 20 + 3 * 8 * n
+    m, v, latest = np.frombuffer(raw[20:], "<f8").reshape(3, n)
+    assert np.array_equal(m, ck.adam.m)
+    assert np.array_equal(v, ck.adam.v)
+    assert np.array_equal(latest, ck.latest_flat)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["not json", "[1, 2]", '{"gamma": 0.25}'],
+    ids=["not-json", "not-an-object", "missing-field"],
+)
+def test_broken_checkpoint_sidecar_is_rejected(tmp_path, text):
+    path = tmp_path / "model.bin"
+    save_checkpoint(hand_checkpoint(), path)
+    (tmp_path / "model.bin.json").write_text(text)
+    with pytest.raises(DataFormatError, match="sidecar"):
+        load_checkpoint(path)
 
 
 def test_datasets_are_validated():
