@@ -224,10 +224,14 @@ def _reconstruct_volume(args, p, grid):
         params = ck.params
         gamma = ck.gamma if args.gamma is None else args.gamma
         ode_cfg = ck.ode_cfg
-    return reconstruct_node(p, grid, params, gamma, ode_cfg, window=args.window)
+    return reconstruct_node(
+        p, grid, params, gamma, ode_cfg, window=args.window, log_path=args.solve_log
+    )
 
 
 def cmd_reconstruct(args) -> int:
+    if args.solve_log is not None and args.method != "node":
+        raise ConfigError("solve-log", "only --method node writes a solve log")
     out = _out_dir(args)
     p = load_sinogram(args.sinogram)
     reference = load_volume(args.reference) if args.reference else None
@@ -284,6 +288,7 @@ def cmd_reconstruct(args) -> int:
         "checkpoint": str(args.checkpoint) if args.checkpoint else None,
         "untrained": args.untrained,
         "gamma": args.gamma,
+        "solve_log": str(args.solve_log) if args.solve_log else None,
         "fov_mask": not args.no_fov_mask,
         "outputs": outputs,
     }
@@ -420,6 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--checkpoint", default=None, help="trained model for method=node")
     sp.add_argument("--untrained", action="store_true", help="run node with freshly initialized weights")
     sp.add_argument("--gamma", type=float, default=None, help="data-consistency weight override (untrained default 0.01)")
+    sp.add_argument("--solve-log", default=None, help="method=node: CSV of the ODE state per step")
     sp.add_argument("--slices", action="store_true", help="export center-slice PGM images")
     sp.add_argument("--no-fov-mask", action="store_true", help="compute metrics without the scan FOV mask")
     sp.add_argument("--no-timings", action="store_true", help="omit runtime_seconds from metric reports")

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,19 @@ def read_sidecar(path, fields) -> dict:
     return doc
 
 
+@contextmanager
+def sidecar_values(path):
+    """Report a field of the sidecar beside ``path`` that has the wrong JSON
+    type or value: the TypeError or ValueError raised while the block builds
+    from it becomes a DataFormatError."""
+    try:
+        yield
+    except DataFormatError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{_sidecar_path(path)}: sidecar field is malformed: {exc}") from exc
+
+
 def _dim_fields(dims) -> tuple:
     return (len(dims),) + tuple(dims) + (0,) * (3 - len(dims))
 
@@ -141,13 +155,15 @@ def save_volume(path, vol: Volume) -> None:
 
 def load_volume(path) -> Volume:
     shape, spacing, _, payload = _read_grid_record(path, VOLUME_MAGIC, VOLUME_HEADER)
-    origin = None
     if _sidecar_path(path).exists():
         doc = read_sidecar(path, ("shape", "voxel_size"))
         _check_sidecar_dims(path, doc["shape"], shape)
-        spacing = float(doc["voxel_size"])
-        origin = tuple(doc.get("origin", ())) or None
-    grid = VolumeGrid(shape, spacing, origin)
+        with sidecar_values(path):
+            spacing = float(doc["voxel_size"])
+            origin = tuple(doc.get("origin", ())) or None
+            grid = VolumeGrid(shape, spacing, origin)
+    else:
+        grid = VolumeGrid(shape, spacing)
     return Volume(grid, record_values(path, payload, shape, "<f4"))
 
 
@@ -175,7 +191,9 @@ def load_sinogram(path) -> Sinogram:
         angular_range=(a0, a1),
     )
     if _sidecar_path(path).exists():
-        geom = geometry_from_dict(read_sidecar(path, ("geometry",))["geometry"])
+        doc = read_sidecar(path, ("geometry",))
+        with sidecar_values(path):
+            geom = geometry_from_dict(doc["geometry"])
         _check_sidecar_dims(path, [geom.n_angles, *geom.detector_shape], dims)
     elif (kind, len(dims)) == (1, 2):
         geom = FanGeometry(n_detectors=dims[1], **scan)

@@ -6,14 +6,20 @@ nearest-neighbour 2x upsampling, encoder-decoder skip connections by channel
 concatenation, and a final 1x1 projection.  The projection layer initializes
 to exact zeros so an untrained network is the zero map.
 
-Everything is plain numpy.  Convolutions gather the k^d shifted views of the
-padded input into a patch matrix and reduce it with a matmul, one slab of
-rows along the first spatial axis at a time; each slab's patches fit a fixed
-byte budget, so no conv builds its whole patch matrix.  The VJPs are the
-exact transposes of that linearization, built from the forward primitives:
-the kernel gradient is a sum of per-slab patch products, the input gradient
-is the same conv with the kernel flipped and transposed in (c_out, c_in), and
-pooling and upsampling are each other's adjoints up to a power-of-two scale.
+Everything is plain numpy.  A convolution is one im2col GEMM per slab of
+rows along the first spatial axis.  The slab's patch matrix gathers the
+shifted views of the padded input over every kernel axis but the last, with
+the padded last axis kept whole, so it has c_in * k^(d-1) rows.  The last
+axis's k taps become extra GEMM output rows (k * c_out of them), and the
+output sums those k partial results, each shifted by its tap along the last
+axis; the k - 1 padding columns of each line are computed and dropped.  Each
+slab's patches and GEMM output together fit a fixed byte budget, so no conv
+builds its whole patch matrix.  The VJPs are the exact transposes of that
+linearization, built from the forward primitives: the kernel gradient is a
+sum of per-slab products of the shifted output gradient with the patches,
+the input gradient is the same conv with the kernel flipped and transposed
+in (c_out, c_in), and pooling and upsampling are each other's adjoints up to
+a power-of-two scale.
 ReLU uses the subgradient 0 at exactly 0.  Padding is zero ("same") by
 default; periodic padding exists for the shift-equivariance test mode.
 
@@ -27,9 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataio import read_record, record_values, write_record
-from .errors import ShapeMismatchError
+from .errors import DataFormatError, ShapeMismatchError
 from .projector import Volume
 
 _NORM_VAR_FLOOR = 1e-5
@@ -195,8 +202,9 @@ def init_params(arch: NetArch, seed: int) -> NetParams:
 
 _PAD_MODES = ("zeros", "periodic")
 
-# byte budget of one row slab of a conv's patch matrix; a slab holds at least
-# one row, so a row larger than the budget is built alone
+# byte budget of one row slab of a conv: its patch matrix plus its GEMM
+# output; a slab holds at least one row, so a row larger than the budget is
+# built alone
 _PATCH_BYTES = 4 * 2**20
 
 
@@ -212,61 +220,72 @@ def _pad_input(x: np.ndarray, k: tuple[int, ...], pad_mode: str) -> np.ndarray:
     return xp
 
 
-def _row_slabs(x: np.ndarray, k: tuple[int, ...]) -> list[tuple[int, int, slice]]:
-    """Ranges r0:r1 of output rows (first spatial axis) whose patches fit
-    _PATCH_BYTES, at least one row each, with their patch-matrix columns."""
-    row_cols = int(np.prod(x.shape[2:]))
-    row_bytes = x.shape[0] * int(np.prod(k)) * row_cols * 8  # float64 patches
-    step = max(1, _PATCH_BYTES // row_bytes)
-    n_rows = x.shape[1]
-    slabs = []
-    for r0 in range(0, n_rows, step):
-        r1 = min(r0 + step, n_rows)
-        slabs.append((r0, r1, slice(r0 * row_cols, r1 * row_cols)))
-    return slabs
+def _row_slabs(x: np.ndarray, w: np.ndarray) -> list[tuple[int, int]]:
+    """Ranges r0:r1 of output rows (first spatial axis), at least one row
+    each, whose patch matrix and GEMM output together fit _PATCH_BYTES."""
+    c_out, c_in, k = w.shape[0], w.shape[1], w.shape[2:]
+    spatial = x.shape[1:]
+    # one column per output row, inner output site and padded last-axis site
+    row_cols = int(np.prod(spatial[1:-1])) * (spatial[-1] + k[-1] - 1)
+    rows_per_col = c_in * int(np.prod(k[:-1])) + k[-1] * c_out
+    step = max(1, _PATCH_BYTES // (rows_per_col * row_cols * 8))  # float64
+    n_rows = spatial[0]
+    return [(r0, min(r0 + step, n_rows)) for r0 in range(0, n_rows, step)]
 
 
-def _patch_matrix(
-    xp: np.ndarray, k: tuple[int, ...], spatial: tuple[int, ...], r0: int, r1: int
-):
-    """Stack the k^d shifted views for output rows r0:r1 of the first spatial
-    axis: (c_in * n_taps, (r1 - r0) * prod(spatial[1:]))."""
-    c_in = xp.shape[0]
-    taps = list(np.ndindex(*k))
-    stack = np.empty((c_in, len(taps), r1 - r0) + spatial[1:])
-    for ti, offs in enumerate(taps):
-        sl = (slice(offs[0] + r0, offs[0] + r1),) + tuple(
-            slice(o, o + s) for o, s in zip(offs[1:], spatial[1:])
-        )
-        stack[:, ti] = xp[(slice(None),) + sl]
-    return stack.reshape(c_in * len(taps), -1)
+def _patch_matrix(xp: np.ndarray, k: tuple[int, ...], r0: int, r1: int) -> np.ndarray:
+    """The shifted views of the padded input xp over every kernel axis but
+    the last, for output rows r0:r1 of the first spatial axis; the padded
+    last axis stays whole.  Shape (c_in * prod(k[:-1]), columns) with the
+    columns in C order over (r1 - r0, *inner spatial sides, padded last side).
+    """
+    inner = [n - ki + 1 for n, ki in zip(xp.shape[2:-1], k[1:-1])]
+    slab = xp[:, r0 : r1 + k[0] - 1]
+    views = sliding_window_view(slab, (r1 - r0, *inner), axis=tuple(range(1, xp.ndim - 1)))
+    # views: (c_in, *k[:-1], padded last side, r1 - r0, *inner); one copy
+    # puts the window axes back in front of the last axis
+    last = views.ndim - len(k) + 1
+    order = tuple(range(len(k))) + tuple(range(last, views.ndim)) + (len(k),)
+    return views.transpose(order).reshape(xp.shape[0] * int(np.prod(k[:-1])), -1)
 
 
 def _conv_forward(x, w, b, pad_mode):
-    k = w.shape[2:]
-    spatial = x.shape[1:]
-    c_out = w.shape[0]
+    c_out, k = w.shape[0], w.shape[2:]
+    s = x.shape[-1]
     xp = _pad_input(x, k, pad_mode)
-    w2 = w.reshape(c_out, -1)
-    y = np.empty((c_out,) + spatial)
-    y2 = y.reshape(c_out, -1)
-    for r0, r1, cols in _row_slabs(x, k):
-        np.matmul(w2, _patch_matrix(xp, k, spatial, r0, r1), out=y2[:, cols])
-    y2 += b[:, None]
+    # the last kernel axis's taps become GEMM output rows: z[a] is the
+    # correlation over the other axes with w[..., a], and y sums z[a]
+    # shifted left by a along the last axis
+    ws = np.moveaxis(w, -1, 0).reshape(k[-1] * c_out, -1)
+    y = np.empty((c_out,) + x.shape[1:])
+    for r0, r1 in _row_slabs(x, w):
+        z = (ws @ _patch_matrix(xp, k, r0, r1)).reshape(
+            (k[-1], c_out, r1 - r0) + x.shape[2:-1] + xp.shape[-1:]
+        )
+        out = y[:, r0:r1]
+        out[...] = z[0, ..., :s]
+        for a in range(1, k[-1]):
+            out += z[a, ..., a : a + s]
+        del z  # else it outlives the next slab's product, over the budget
+    y += b.reshape((c_out,) + (1,) * (y.ndim - 1))
     return y
 
 
 def _conv_vjp(gy, x, w, pad_mode):
-    k = w.shape[2:]
-    spatial = x.shape[1:]
-    c_out, c_in = w.shape[0], w.shape[1]
+    c_out, c_in, k = w.shape[0], w.shape[1], w.shape[2:]
+    s = x.shape[-1]
     xp = _pad_input(x, k, pad_mode)
-    gy2 = gy.reshape(c_out, -1)
-    gb = gy2.sum(axis=1)
-    gw2 = np.zeros((c_out, c_in * int(np.prod(k))))
-    for r0, r1, cols in _row_slabs(x, k):
-        gw2 += gy2[:, cols] @ _patch_matrix(xp, k, spatial, r0, r1).T
-    gw = gw2.reshape(w.shape)
+    gb = gy.reshape(c_out, -1).sum(axis=1)
+    gws = np.zeros((k[-1] * c_out, c_in * int(np.prod(k[:-1]))))
+    for r0, r1 in _row_slabs(x, w):
+        # adjoint of the shifted sum: gz[a, ..., j + a] = gy[..., j]
+        gz = np.zeros((k[-1], c_out, r1 - r0) + x.shape[2:-1] + xp.shape[-1:])
+        for a in range(k[-1]):
+            gz[a, ..., a : a + s] = gy[:, r0:r1]
+        gws += gz.reshape(k[-1] * c_out, -1) @ _patch_matrix(xp, k, r0, r1).T
+        del gz
+    del xp  # the input gradient does not need it; freeing it lowers the peak
+    gw = np.moveaxis(gws.reshape((k[-1], c_out, c_in) + k[:-1]), 0, -1)
     # the adjoint of a same-padded correlation is the correlation with the
     # kernel flipped spatially and transposed in (c_out, c_in), padded the
     # same way; exact for zero padding and for circular wrap of any width
@@ -351,7 +370,7 @@ def net_apply_array(params: NetParams, x: np.ndarray, pad_mode: str = "zeros"):
                 z, params.norm_scales[idx], params.norm_shifts[idx]
             )
             cache["xhat"], cache["inv"] = xhat, inv
-        cache["pre"] = z
+        cache["active"] = z > 0
         return np.maximum(z, 0.0), cache
 
     h = x[None]
@@ -369,7 +388,9 @@ def net_apply_array(params: NetParams, x: np.ndarray, pad_mode: str = "zeros"):
     idx += 1
     for lvl in reversed(range(levels - 1)):
         h = _upsample_forward(h)
-        h = np.concatenate([skips[lvl], h], axis=0)
+        # the concatenation copies the skip; popping it frees the list's copy
+        # before the decoder conv, the forward's memory peak
+        h = np.concatenate([skips.pop(), h], axis=0)
         h, cache = block(h, idx)
         tape["blocks"].append(cache)
         idx += 1
@@ -393,7 +414,7 @@ def net_vjp_array(params: NetParams, tape, gy: np.ndarray):
 
     def block_backward(g, idx):
         cache = tape["blocks"][idx]
-        g = g * (cache["pre"] > 0)
+        g = g * cache["active"]
         if use_norm:
             g, gscale, gshift = _instance_norm_vjp(
                 g, cache["xhat"], cache["inv"], params.norm_scales[idx]
@@ -476,11 +497,20 @@ def load_net_params(path) -> NetParams:
     (n_levels, base_channels, kernel_size, dims, norm), payload = read_record(
         path, PARAMS_MAGIC, PARAMS_HEADER
     )
-    arch = NetArch(
-        n_levels=n_levels,
-        base_channels=base_channels,
-        kernel_size=kernel_size,
-        dims=dims,
-        instance_norm=bool(norm),
-    )
+    if norm not in (0, 1):
+        raise DataFormatError(f"{path}: instance_norm word must be 0 or 1, got {norm}")
+    # the bottom conv alone has 2^(n_levels - 1) biases; a larger word would
+    # make _n_params count with huge integers before the payload check
+    if n_levels > len(payload).bit_length():
+        raise DataFormatError(f"{path}: {n_levels} levels need more parameters than the file holds")
+    try:
+        arch = NetArch(
+            n_levels=n_levels,
+            base_channels=base_channels,
+            kernel_size=kernel_size,
+            dims=dims,
+            instance_norm=bool(norm),
+        )
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: header holds no valid architecture: {exc}") from exc
     return NetParams.from_flat(arch, record_values(path, payload, _n_params(arch), "<f8"))

@@ -21,10 +21,18 @@ import logging
 import math
 import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .dataio import read_record, read_sidecar, record_values, write_record, write_sidecar
+from .dataio import (
+    read_record,
+    read_sidecar,
+    record_values,
+    sidecar_values,
+    write_record,
+    write_sidecar,
+)
 from .errors import ConfigError, DataFormatError, DivergenceError
 from .geometry import Geometry, VolumeGrid
 from .network import (
@@ -199,14 +207,23 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
             np.concatenate([ck.adam.m, ck.adam.v, ck.latest_flat]),
             "<f8",
         )
+    else:
+        # an older file left here would pair this model with its Adam state
+        Path(path + ".opt.bin").unlink(missing_ok=True)
 
 
 def load_checkpoint(path) -> Checkpoint:
     path = str(path)
     params = load_net_params(path)
     sidecar = read_sidecar(path, _SIDECAR_FIELDS)
-    ode_cfg = OdeConfig(**sidecar["ode"])
-    train_cfg = TrainConfig(**sidecar["train"])
+    with sidecar_values(path):
+        ode_cfg = OdeConfig(**sidecar["ode"])
+        train_cfg = TrainConfig(**sidecar["train"])
+        gamma = float(sidecar["gamma"])
+        epoch = int(sidecar["epoch"])
+        val_loss = float(sidecar["val_loss"])
+        epochs_completed = int(sidecar["epochs_completed"])
+        seed = int(sidecar["seed"])
     adam = None
     latest = None
     opt_path = path + ".opt.bin"
@@ -221,11 +238,11 @@ def load_checkpoint(path) -> Checkpoint:
         adam = AdamState(m, v, int(t), train_cfg.beta1, train_cfg.beta2, train_cfg.eps)
     return Checkpoint(
         params=params,
-        gamma=float(sidecar["gamma"]),
-        epoch=int(sidecar["epoch"]),
-        val_loss=float(sidecar["val_loss"]),
-        epochs_completed=int(sidecar["epochs_completed"]),
-        seed=int(sidecar["seed"]),
+        gamma=gamma,
+        epoch=epoch,
+        val_loss=val_loss,
+        epochs_completed=epochs_completed,
+        seed=seed,
         ode_cfg=ode_cfg,
         train_cfg=train_cfg,
         adam=adam,

@@ -4,6 +4,7 @@ Every command runs in-process through main(argv) so exit codes, stdout, and
 stderr can be checked directly.  File outputs land in pytest tmp dirs.
 """
 
+import csv
 import json
 import math
 
@@ -243,6 +244,46 @@ def test_reconstruct_rerun_is_bitwise_with_threads_1(fan_scan, tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+NODE_ARGV = ("reconstruct", "--method", "node", "--untrained", "--grid-shape", "32,32")
+
+
+def test_solve_log_has_one_row_per_step(fan_scan, tmp_path):
+    log = tmp_path / "solve.csv"
+    assert cli(
+        *NODE_ARGV, "--sinogram", fan_scan / "sinogram.cts",
+        "--solve-log", log, "--out", tmp_path / "out",
+    ) == 0
+    with open(log) as fh:
+        rows = list(csv.DictReader(fh))
+    # the default OdeConfig takes 20 steps of 0.05; a last row holds the end state
+    assert [int(r["step"]) for r in rows] == list(range(21))
+    assert [float(r["t"]) for r in rows] == [0.05 * i for i in range(21)]
+    assert all(float(r["residual_norm"]) > 0.0 for r in rows)
+    assert all(r["f_norm"] for r in rows[:-1]) and rows[-1]["f_norm"] == ""
+    man = json.loads((tmp_path / "out" / "manifest_node.json").read_text())
+    assert man["solve_log"] == str(log)
+
+
+def test_solve_log_leaves_the_volume_unchanged(fan_scan, tmp_path):
+    for name, extra in (("plain", ()), ("logged", ("--solve-log", tmp_path / "solve.csv"))):
+        assert cli(
+            *NODE_ARGV, "--sinogram", fan_scan / "sinogram.cts", *extra,
+            "--out", tmp_path / name,
+        ) == 0
+    plain = (tmp_path / "plain" / "recon_node.ctv").read_bytes()
+    assert (tmp_path / "logged" / "recon_node.ctv").read_bytes() == plain
+
+
+def test_solve_log_needs_the_node_method(fan_scan, tmp_path, capsys):
+    code = cli(
+        "reconstruct", "--method", "fbp", "--sinogram", fan_scan / "sinogram.cts",
+        "--grid-shape", "32,32", "--solve-log", tmp_path / "solve.csv", "--out", tmp_path,
+    )
+    assert code == 2
+    assert "solve-log" in capsys.readouterr().err
+    assert not (tmp_path / "solve.csv").exists()
+
+
 def test_node_without_checkpoint_exits_2(fan_scan, tmp_path, capsys):
     code = cli(
         "reconstruct", "--method", "node",
@@ -293,6 +334,49 @@ def test_broken_sidecar_exits_3(fan_scan, tmp_path, capsys, broken, text):
     )
     assert code == 3
     assert files[broken] + ".json" in capsys.readouterr().err
+
+
+def test_sinogram_sidecar_geometry_of_wrong_type_exits_3(fan_scan, tmp_path, capsys):
+    sino = tmp_path / "sinogram.cts"
+    sino.write_bytes((fan_scan / "sinogram.cts").read_bytes())
+    (tmp_path / "sinogram.cts.json").write_text(json.dumps({"geometry": [1, 2]}))
+    code = cli(
+        "reconstruct", "--method", "fbp", "--sinogram", sino,
+        "--grid-shape", "32,32", "--out", tmp_path / "out",
+    )
+    assert code == 3
+    assert "sinogram.cts.json" in capsys.readouterr().err
+
+
+def saved_checkpoint(train_dir, tmp_path):
+    assert cli("train", "--config", train_dir / "cfg1.json", "--out", tmp_path / "train") == 0
+    return tmp_path / "train" / "checkpoint.ckpt"
+
+
+def reconstruct_node_from(ckpt, fan_scan, out):
+    return cli(
+        "reconstruct", "--method", "node", "--checkpoint", ckpt,
+        "--sinogram", fan_scan / "sinogram.cts", "--grid-shape", "32,32", "--out", out,
+    )
+
+
+def test_checkpoint_sidecar_ode_of_wrong_type_exits_3(train_dir, fan_scan, tmp_path, capsys):
+    ckpt = saved_checkpoint(train_dir, tmp_path)
+    sidecar = ckpt.parent / "checkpoint.ckpt.json"
+    doc = json.loads(sidecar.read_text())
+    doc["ode"] = [1]
+    sidecar.write_text(json.dumps(doc))
+    assert reconstruct_node_from(ckpt, fan_scan, tmp_path / "out") == 3
+    assert "checkpoint.ckpt.json" in capsys.readouterr().err
+
+
+def test_checkpoint_with_out_of_range_arch_word_exits_3(train_dir, fan_scan, tmp_path, capsys):
+    ckpt = saved_checkpoint(train_dir, tmp_path)
+    raw = bytearray(ckpt.read_bytes())
+    raw[8:12] = bytes(4)  # n_levels 0
+    ckpt.write_bytes(bytes(raw))
+    assert reconstruct_node_from(ckpt, fan_scan, tmp_path / "out") == 3
+    assert "checkpoint.ckpt" in capsys.readouterr().err
 
 
 def test_fdk_rejects_fan_data(fan_scan, tmp_path, capsys):

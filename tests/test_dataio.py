@@ -263,6 +263,26 @@ def test_broken_sidecar_is_a_data_format_error(tmp_path, saved, text):
         load(path)
 
 
+@pytest.mark.parametrize(
+    "saved, field, value",
+    [
+        (saved_volume, "voxel_size", [1.0]),
+        (saved_volume, "origin", 3),
+        (saved_sinogram, "geometry", [1, 2]),
+        (saved_sinogram, "geometry", "fan"),
+    ],
+    ids=["voxel-size-list", "origin-number", "geometry-list", "geometry-string"],
+)
+def test_sidecar_field_of_wrong_type_is_a_data_format_error(tmp_path, saved, field, value):
+    path, load = saved(tmp_path)
+    sidecar = tmp_path / (path.name + ".json")
+    doc = json.loads(sidecar.read_text())
+    doc[field] = value
+    sidecar.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match="sidecar"):
+        load(path)
+
+
 def test_volume_sidecar_shape_must_match_the_header(tmp_path):
     path, _ = saved_volume(tmp_path)
     sidecar = tmp_path / "v.ctv.json"

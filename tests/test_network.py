@@ -219,21 +219,82 @@ def test_row_slabs_match_a_single_slab(monkeypatch, pad_mode, k, spatial):
         return (_conv_forward(x, w, b, pad_mode),) + _conv_vjp(gy, x, w, pad_mode)
 
     monkeypatch.setattr(network, "_PATCH_BYTES", 2**40)
-    assert [s[:2] for s in _row_slabs(x, kernel)] == [(0, 5)]
+    assert _row_slabs(x, w) == [(0, 5)]
     reference = conv_and_vjp()
 
-    row_bytes = c_in * k ** len(spatial) * int(np.prod(spatial[1:])) * 8
+    # a row's patch matrix has c_in * k^(d-1) rows and its GEMM output
+    # k * c_out rows, over the inner sides and the padded last side
+    row_cols = int(np.prod(spatial[1:-1])) * (spatial[-1] + k - 1)
+    row_bytes = (c_in * k ** (len(spatial) - 1) + k * c_out) * row_cols * 8
     # one row per slab, then two rows per slab with a partial last slab
     for budget, slabs in [
         (1, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]),
         (2 * row_bytes, [(0, 2), (2, 4), (4, 5)]),
+        (3 * row_bytes - 1, [(0, 2), (2, 4), (4, 5)]),
     ]:
         monkeypatch.setattr(network, "_PATCH_BYTES", budget)
-        assert [s[:2] for s in _row_slabs(x, kernel)] == slabs
+        assert _row_slabs(x, w) == slabs
         for got, want in zip(conv_and_vjp(), reference):
             # relative to the array's scale: gw and gx entries that cancel
             # to near zero differ by an ulp of the summands
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def shifted(x, shift, pad_mode):
+    """x moved so that out[j] = x[j + shift] on every spatial axis; sites
+    beyond the edge read zero, or wrap around for periodic padding."""
+    if pad_mode == "periodic":
+        return np.roll(x, [-s for s in shift], axis=tuple(range(1, x.ndim)))
+    out = np.zeros_like(x)
+    dst, src = [slice(None)], [slice(None)]
+    for s, n in zip(shift, x.shape[1:]):
+        dst.append(slice(max(0, -s), min(n, n - s)))
+        src.append(slice(max(0, s), min(n, n + s)))
+    out[tuple(dst)] = x[tuple(src)]
+    return out
+
+
+def direct_conv_and_vjp(x, w, b, gy, pad_mode):
+    """Same-padded correlation as a sum over all k^d taps of shifted inputs,
+    with its kernel and input gradients tap by tap."""
+    c_out, c_in, *k = w.shape
+    y = np.zeros((c_out,) + x.shape[1:]) + b.reshape((c_out,) + (1,) * (x.ndim - 1))
+    gx = np.zeros_like(x)
+    gw = np.zeros_like(w)
+    for tap in np.ndindex(*k):
+        shift = [t - ki // 2 for t, ki in zip(tap, k)]
+        wt = w[(slice(None), slice(None)) + tap]
+        xs = shifted(x, shift, pad_mode)
+        y += np.tensordot(wt, xs, axes=(1, 0))
+        gw[(slice(None), slice(None)) + tap] = np.tensordot(
+            gy, xs, axes=(range(1, x.ndim), range(1, x.ndim))
+        )
+        gx += shifted(np.tensordot(wt, gy, axes=(0, 0)), [-s for s in shift], pad_mode)
+    return y, gx, gw, gy.reshape(c_out, -1).sum(axis=1)
+
+
+@pytest.mark.parametrize("pad_mode", ["zeros", "periodic"])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize(
+    "c_in, c_out, spatial",
+    [(1, 3, (6, 5)), (4, 2, (5, 6)), (1, 2, (4, 3, 5)), (3, 2, (5, 4, 3)), (2, 4, (3, 5, 4))],
+)
+def test_conv_matches_a_direct_shifted_sum(monkeypatch, pad_mode, k, c_in, c_out, spatial):
+    rng = np.random.default_rng(18)
+    w = rng.normal(0.0, 1.0, (c_out, c_in) + (k,) * len(spatial))
+    b = rng.normal(0.0, 1.0, c_out)
+    x = rng.normal(0.0, 1.0, (c_in,) + spatial)
+    gy = rng.normal(0.0, 1.0, (c_out,) + spatial)
+    want = direct_conv_and_vjp(x, w, b, gy, pad_mode)
+    # one slab under the default budget, then one row per slab
+    for budget, n_slabs in ((network._PATCH_BYTES, 1), (1, spatial[0])):
+        monkeypatch.setattr(network, "_PATCH_BYTES", budget)
+        assert len(_row_slabs(x, w)) == n_slabs
+        y = _conv_forward(x, w, b, pad_mode)
+        gx, gw, gb = _conv_vjp(gy, x, w, pad_mode)
+        for got, ref in zip((y, gx, gw, gb), want):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_3d_network_memory_is_bounded():
@@ -391,3 +452,19 @@ def test_load_rejects_corrupt_files(tmp_path):
         (tmp_path / name).write_bytes(bytes(raw[:cut]))
         with pytest.raises(DataFormatError):
             load_net_params(tmp_path / name)
+
+
+@pytest.mark.parametrize(
+    "offset, word",
+    [(8, 0), (8, 20000), (12, 0), (16, 2), (20, 4), (24, 2)],
+    ids=["n-levels-0", "n-levels-20000", "base-channels-0", "kernel-size-2", "dims-4", "norm-2"],
+)
+def test_load_rejects_out_of_range_arch_words(tmp_path, offset, word):
+    # with instance norm on, a norm word of 2 leaves the payload length right
+    path = tmp_path / "net.bin"
+    save_net_params(path, init_params(NetArch(instance_norm=True), 0))
+    raw = bytearray(path.read_bytes())
+    raw[offset : offset + 4] = struct.pack("<I", word)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataFormatError, match="net.bin"):
+        load_net_params(path)

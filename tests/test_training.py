@@ -8,6 +8,7 @@ history file byte for byte.
 """
 
 import csv
+import json
 import logging
 import struct
 
@@ -465,6 +466,35 @@ def test_optimizer_file_layout(tmp_path):
     assert np.array_equal(m, ck.adam.m)
     assert np.array_equal(v, ck.adam.v)
     assert np.array_equal(latest, ck.latest_flat)
+
+
+def test_saving_without_optimizer_state_removes_a_stale_one(tmp_path):
+    path = tmp_path / "model.bin"
+    ck = hand_checkpoint()
+    save_checkpoint(ck, path)
+    ck.adam, ck.latest_flat, ck.gamma = None, None, 0.5
+    save_checkpoint(ck, path)
+    assert not (tmp_path / "model.bin.opt.bin").exists()
+    loaded = load_checkpoint(path)
+    assert loaded.gamma == 0.5
+    assert loaded.adam is None
+    assert loaded.latest_flat is None
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("ode", [1]), ("train", "adam"), ("gamma", [0.25]), ("ode", {"t_end": "one"})],
+    ids=["ode-list", "train-string", "gamma-list", "ode-value-string"],
+)
+def test_checkpoint_sidecar_field_of_wrong_type_is_rejected(tmp_path, field, value):
+    path = tmp_path / "model.bin"
+    save_checkpoint(hand_checkpoint(), path)
+    sidecar = tmp_path / "model.bin.json"
+    doc = json.loads(sidecar.read_text())
+    doc[field] = value
+    sidecar.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match="sidecar"):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize(
