@@ -20,10 +20,8 @@ Conventions used throughout the toolkit:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -110,17 +108,15 @@ class VolumeGrid:
 
 
 class _Scan:
-    """Checks, angles and per-angle frame shared by the fan and cone scans.
+    """Checks, angles and detector offsets shared by the fan and cone scans.
 
     Subclasses are frozen dataclasses with the fields n_angles, the detector
     counts named in _detector_fields, source_distance, detector_distance,
-    detector_pixel_size and angular_range.  The fan, which lies in the z = 0
-    midplane, reads its trajectory_height from here.
+    detector_pixel_size and angular_range.
     """
 
     _detector_fields: tuple[str, ...]
     _floats = ("source_distance", "detector_distance", "detector_pixel_size")
-    trajectory_height = 0.0
 
     def __post_init__(self):
         for name in ("n_angles",) + self._detector_fields:
@@ -166,20 +162,6 @@ class _Scan:
     def detector_u_offsets(self) -> np.ndarray:
         """Signed u coordinates of detector column centres, in mm."""
         return _centred(self.detector_shape[-1], self.detector_pixel_size)
-
-    def _on_trajectory(self, radius: float, angle: float) -> np.ndarray:
-        """The point at signed radius along the source direction, at the trajectory height."""
-        point = [radius * math.cos(angle), radius * math.sin(angle), self.trajectory_height]
-        return np.array(point[: self.ndim])
-
-    def source_position(self, angle: float) -> np.ndarray:
-        return self._on_trajectory(self.source_distance, angle)
-
-    def detector_center(self, angle: float) -> np.ndarray:
-        return self._on_trajectory(-self.detector_distance, angle)
-
-    def detector_u_axis(self, angle: float) -> np.ndarray:
-        return np.array([-math.sin(angle), math.cos(angle), 0.0][: self.ndim])
 
 
 @dataclass(frozen=True)
@@ -230,21 +212,8 @@ class ConeGeometry(_Scan):
     def detector_v_offsets(self) -> np.ndarray:
         return _centred(self.detector_rows, self.detector_pixel_size)
 
-    def detector_v_axis(self, angle: float) -> np.ndarray:
-        return np.array([0.0, 0.0, 1.0])
-
 
 Geometry = FanGeometry | ConeGeometry
-
-
-@dataclass
-class Ray:
-    """A single source-to-detector-pixel ray."""
-
-    origin: np.ndarray
-    direction: np.ndarray
-    angle_index: int
-    detector_index: int | tuple[int, int]
 
 
 def make_fan_geometry(
@@ -286,53 +255,6 @@ def make_cone_geometry(
         detector_pixel_size=detector_pixel_size,
         angular_range=angular_range,
         trajectory_height=trajectory_height,
-    )
-
-
-def ray_for(
-    geom: Geometry, angle_index: int, detector_index: int | tuple[int, int]
-) -> Ray:
-    """Return the ray from the source at one angle to one detector pixel centre.
-
-    The direction is the unit vector from the source towards the pixel.
-    Raises IndexError for out-of-range indices.
-    """
-    if not 0 <= angle_index < geom.n_angles:
-        raise IndexError(
-            f"angle_index {angle_index} out of range [0, {geom.n_angles})"
-        )
-    angle = float(geom.angles[angle_index])
-    origin = geom.source_position(angle)
-    if isinstance(geom, FanGeometry):
-        col = int(detector_index)
-        if not 0 <= col < geom.n_detectors:
-            raise IndexError(
-                f"detector_index {col} out of range [0, {geom.n_detectors})"
-            )
-        det_idx: int | tuple[int, int] = col
-    else:
-        row, col = detector_index
-        if not 0 <= row < geom.detector_rows:
-            raise IndexError(
-                f"detector row {row} out of range [0, {geom.detector_rows})"
-            )
-        if not 0 <= col < geom.detector_cols:
-            raise IndexError(
-                f"detector col {col} out of range [0, {geom.detector_cols})"
-            )
-        det_idx = (int(row), int(col))
-    u = geom.detector_u_offsets()[col]
-    target = geom.detector_center(angle) + u * geom.detector_u_axis(angle)
-    if isinstance(geom, ConeGeometry):
-        v = geom.detector_v_offsets()[row]
-        target = target + v * geom.detector_v_axis(angle)
-    direction = target - origin
-    direction = direction / np.linalg.norm(direction)
-    return Ray(
-        origin=origin,
-        direction=direction,
-        angle_index=int(angle_index),
-        detector_index=det_idx,
     )
 
 
@@ -426,10 +348,3 @@ def geometry_from_dict(doc: dict) -> Geometry:
         raise InvalidGeometryError(f"geometry document missing field {exc}") from exc
     raise InvalidGeometryError(f"unknown geometry kind {doc.get('kind')!r}")
 
-
-def save_geometry(path, geom: Geometry) -> None:
-    Path(path).write_text(json.dumps(geometry_to_dict(geom), indent=2, sort_keys=True))
-
-
-def load_geometry(path) -> Geometry:
-    return geometry_from_dict(json.loads(Path(path).read_text()))

@@ -37,7 +37,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataio import read_record, record_values, write_record
 from .errors import DataFormatError, ShapeMismatchError
-from .projector import Volume
 
 _NORM_VAR_FLOOR = 1e-5
 
@@ -453,26 +452,6 @@ def net_vjp_array(params: NetParams, tape, gy: np.ndarray):
 
     grads = NetParams(arch, gws, gbs, gscales, gshifts)
     return grads, g[0]
-
-
-def net_forward(params: NetParams, x: Volume, pad_mode: str = "zeros") -> Volume:
-    """Apply the regularizer network to a volume."""
-    y, _ = net_apply_array(params, x.values, pad_mode)
-    return Volume(x.grid, y)
-
-
-def net_vjp(
-    params: NetParams, x: Volume, cotangent: Volume, pad_mode: str = "zeros"
-) -> tuple[NetParams, Volume]:
-    """Gradients of <cotangent, N(x)> with respect to parameters and input."""
-    if cotangent.values.shape != x.values.shape:
-        raise ShapeMismatchError(
-            f"cotangent shape {cotangent.values.shape} does not match "
-            f"input shape {x.values.shape}"
-        )
-    _, tape = net_apply_array(params, x.values, pad_mode)
-    grads, gx = net_vjp_array(params, tape, cotangent.values)
-    return grads, Volume(x.grid, gx)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ harness can integrate time-dependent toy problems.
 from __future__ import annotations
 
 import csv
+import math
 import weakref
 from dataclasses import dataclass, field
 
@@ -55,6 +56,9 @@ class OdeConfig:
     mu: float = 1.0
 
     def __post_init__(self):
+        for name in ("t_end", "step_size", "lam", "mu"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.t_end > 0:
             raise ValueError(f"t_end must be > 0, got {self.t_end}")
         if not self.step_size > 0:
@@ -270,14 +274,6 @@ class NodeDynamics:
         rate_theta = lam * mu * gtheta.flatten()
         rate_gamma = lam * float(dc.ravel() @ a.ravel())
         return fx, fa, rate_theta, rate_gamma
-
-
-def dynamics(
-    x: Volume, p: Sinogram, params: NetParams, gamma: float, cfg: OdeConfig
-) -> Volume:
-    """Evaluate dx/dt at one state; the right-hand side of the solve."""
-    dyn = NodeDynamics(p, x.grid, params, gamma, cfg)
-    return Volume(x.grid, dyn(x.values))
 
 
 @dataclass

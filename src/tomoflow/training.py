@@ -5,7 +5,10 @@ field of view, sample by sample (batch size 1): solve the reconstruction
 forward, integrate the adjoint system backward for gradients, take one Adam
 step over (theta, gamma) with separate learning rates for the two blocks.
 The checkpoint retained is the state with the lowest mean validation loss;
-epoch 0 (the untrained state) is eligible.  Gradients are clipped at a
+epoch 0 (the untrained state) is eligible.  A fresh run is a resume from
+epoch 0: it builds that state's checkpoint (untrained parameters, gamma_init,
+zero Adam moments, its mean validation loss) and continues from it the way
+a resumed run continues from a saved one.  Gradients are clipped at a
 global norm of 1.0 as a divergence guard; every clip is logged.
 
 The loss history CSV has one row per epoch:
@@ -50,7 +53,9 @@ logger = logging.getLogger(__name__)
 OPT_MAGIC = b"CTOP"
 # version, Adam step count t, entry count n; the payload is m, v, latest (n each)
 OPT_HEADER = "<IQI"
-_SIDECAR_FIELDS = ("gamma", "epoch", "val_loss", "epochs_completed", "seed", "ode", "train")
+_SIDECAR_FIELDS = (
+    "gamma", "epoch", "val_loss", "epochs_completed", "seed", "n_params", "ode", "train"
+)
 
 
 def fov_mask(grid: VolumeGrid, geom) -> Volume:
@@ -153,6 +158,10 @@ class TrainConfig:
     init_window: str = "ram-lak"
 
     def __post_init__(self):
+        for name in ("epochs", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(name, f"must be an integer, got {value!r}")
         if self.epochs < 1:
             raise ConfigError("epochs", f"must be >= 1, got {self.epochs}")
         if self.batch_size != 1:
@@ -216,6 +225,11 @@ def load_checkpoint(path) -> Checkpoint:
     path = str(path)
     params = load_net_params(path)
     sidecar = read_sidecar(path, _SIDECAR_FIELDS)
+    if sidecar["n_params"] != params.n_params:
+        raise DataFormatError(
+            f"{path}: sidecar n_params {sidecar['n_params']!r} disagrees with the "
+            f"{params.n_params} parameters in the file"
+        )
     with sidecar_values(path):
         ode_cfg = OdeConfig(**sidecar["ode"])
         train_cfg = TrainConfig(**sidecar["train"])
@@ -278,10 +292,21 @@ def _val_loss(p, target, params, gamma, ode_cfg, window, mask):
     return l1_fov_loss(x_T, target, mask)
 
 
-def _history_row(fh, epoch, train_loss, val_loss, gamma, adam_t):
+def _record_epoch(history_path, epoch, train_loss, val_loss, gamma, adam_t):
+    """Log one epoch and append its history row, after the header in a new file."""
+    if train_loss is None:
+        logger.info("epoch %d: val %.6e gamma %.6g", epoch, val_loss, gamma)
+    else:
+        logger.info(
+            "epoch %d: train %.6e val %.6e gamma %.6g", epoch, train_loss, val_loss, gamma
+        )
+    if history_path is None:
+        return
     train_str = "" if train_loss is None else repr(float(train_loss))
-    fh.write(f"{epoch},{train_str},{float(val_loss)!r},{float(gamma)!r},{adam_t}\n")
-    fh.flush()
+    with open(history_path, "a", newline="") as fh:
+        if fh.tell() == 0:
+            fh.write("epoch,mean_train_loss,mean_val_loss,gamma,adam_t\n")
+        fh.write(f"{epoch},{train_str},{float(val_loss)!r},{float(gamma)!r},{adam_t}\n")
 
 
 def train(
@@ -295,6 +320,10 @@ def train(
 ) -> Checkpoint:
     """Run the training loop and return the lowest-validation checkpoint.
 
+    A fresh run (no resume_from) starts a new history and builds the epoch-0
+    checkpoint, the untrained model at gamma_init with zero Adam moments,
+    then resumes from it.  A resumed run appends to the history.
+
     Divergent training solves are retried once with the data-consistency
     weight halved for that sample; a second failure skips the sample.  An
     epoch where more than 20% of samples diverge aborts the run.
@@ -305,137 +334,102 @@ def train(
     masks_train = [fov_mask(t.grid, p.geom) for p, t in train_set]
     masks_val = [fov_mask(t.grid, p.geom) for p, t in val_set]
 
-    if resume_from is not None:
-        if resume_from.adam is None or resume_from.latest_flat is None:
-            raise ConfigError("resume", "checkpoint has no optimizer state to resume from")
-        z = resume_from.latest_flat.copy()
-        params = NetParams.from_flat(arch, z[:-1])
-        gamma = float(z[-1])
-        adam = resume_from.adam
-        start_epoch = resume_from.epochs_completed + 1
-        best_params = resume_from.params.copy()
-        best_gamma = resume_from.gamma
-        best_epoch = resume_from.epoch
-        best_val = resume_from.val_loss
-    else:
-        params = init_params(arch, seed=cfg.seed)
-        gamma = cfg.gamma_init
-        z = np.concatenate([params.flatten(), [gamma]])
-        adam = AdamState.zeros(z.size, cfg.beta1, cfg.beta2, cfg.eps)
-        start_epoch = 1
-        best_params = params.copy()
-        best_gamma = gamma
-        best_epoch = 0
-        best_val = None
+    def mean_val(params, gamma):
+        return float(np.mean([
+            _val_loss(p, t, params, gamma, ode_cfg, cfg.init_window, m)
+            for (p, t), m in zip(val_set, masks_val)
+        ]))
 
-    n_params = params.n_params
-    lr_vec = np.full(n_params + 1, cfg.lr_net)
+    if resume_from is None:
+        if history_path is not None:
+            open(history_path, "w").close()
+        params = init_params(arch, seed=cfg.seed)
+        z = np.concatenate([params.flatten(), [cfg.gamma_init]])
+        resume_from = Checkpoint(
+            params=params,
+            gamma=cfg.gamma_init,
+            epoch=0,
+            val_loss=mean_val(params, cfg.gamma_init),
+            epochs_completed=0,
+            seed=cfg.seed,
+            ode_cfg=ode_cfg,
+            train_cfg=cfg,
+            adam=AdamState.zeros(z.size, cfg.beta1, cfg.beta2, cfg.eps),
+            latest_flat=z,
+        )
+        _record_epoch(history_path, 0, None, resume_from.val_loss, cfg.gamma_init, 0)
+    if resume_from.adam is None or resume_from.latest_flat is None:
+        raise ConfigError("resume", "checkpoint has no optimizer state to resume from")
+
+    best = resume_from
+    z = resume_from.latest_flat.copy()
+    params = NetParams.from_flat(arch, z[:-1])
+    gamma = float(z[-1])
+    adam = resume_from.adam
+    start_epoch = resume_from.epochs_completed + 1
+    lr_vec = np.full(z.size, cfg.lr_net)
     lr_vec[-1] = cfg.lr_gamma
 
-    hist_fh = None
-    if history_path is not None:
-        # resumed runs append to an existing history instead of rewriting it
-        hist_fh = open(history_path, "w" if resume_from is None else "a", newline="")
-        if hist_fh.tell() == 0:
-            hist_fh.write("epoch,mean_train_loss,mean_val_loss,gamma,adam_t\n")
-
-    try:
-        if resume_from is None:
-            # epoch 0: the untrained model, eligible for selection
-            val0 = [
-                _val_loss(p, t, params, gamma, ode_cfg, cfg.init_window, m)
-                for (p, t), m in zip(val_set, masks_val)
-            ]
-            best_val = float(np.mean(val0))
-            if hist_fh is not None:
-                _history_row(hist_fh, 0, None, best_val, gamma, adam.t)
-            logger.info("epoch 0: val %.6e gamma %.6g", best_val, gamma)
-
-        max_diverged = 0.2 * len(train_set)
-        for epoch in range(start_epoch, start_epoch + cfg.epochs):
-            order = np.random.default_rng((cfg.seed, epoch)).permutation(len(train_set))
-            train_losses = []
-            n_diverged = 0
-            for idx in order:
-                p, target = train_set[idx]
-                mask = masks_train[idx]
+    max_diverged = 0.2 * len(train_set)
+    for epoch in range(start_epoch, start_epoch + cfg.epochs):
+        order = np.random.default_rng((cfg.seed, epoch)).permutation(len(train_set))
+        train_losses = []
+        n_diverged = 0
+        for idx in order:
+            p, target = train_set[idx]
+            for retry, g in enumerate((gamma, gamma / 2.0)):
                 try:
                     loss, g_theta, g_gamma = _sample_loss_and_grads(
-                        p, target, params, gamma, ode_cfg, cfg.init_window, mask
+                        p, target, params, g, ode_cfg, cfg.init_window, masks_train[idx]
                     )
-                except DivergenceError as first:
+                    break
+                except DivergenceError as exc:
+                    if not retry:
+                        logger.warning(
+                            "epoch %d sample %d diverged (%s); retrying at gamma/2",
+                            epoch,
+                            idx,
+                            exc,
+                        )
+                        continue
+                    n_diverged += 1
                     logger.warning(
-                        "epoch %d sample %d diverged (%s); retrying at gamma/2",
+                        "epoch %d sample %d diverged again (%s); skipped", epoch, idx, exc
+                    )
+                    if n_diverged > max_diverged:
+                        raise DivergenceError(
+                            epoch,
+                            math.inf,
+                            f"training aborted: {n_diverged} of "
+                            f"{len(train_set)} samples diverged in epoch {epoch}",
+                        ) from exc
+            else:
+                continue
+            grads = np.concatenate([g_theta, [g_gamma]])
+            if cfg.clip_norm is not None:
+                gnorm = float(np.linalg.norm(grads))
+                if gnorm > cfg.clip_norm:
+                    grads *= cfg.clip_norm / gnorm
+                    logger.info(
+                        "epoch %d sample %d: gradient norm %.3g clipped to %.3g",
                         epoch,
                         idx,
-                        first,
+                        gnorm,
+                        cfg.clip_norm,
                     )
-                    try:
-                        loss, g_theta, g_gamma = _sample_loss_and_grads(
-                            p, target, params, gamma / 2.0, ode_cfg, cfg.init_window, mask
-                        )
-                    except DivergenceError as second:
-                        n_diverged += 1
-                        logger.warning(
-                            "epoch %d sample %d diverged again (%s); skipped",
-                            epoch,
-                            idx,
-                            second,
-                        )
-                        if n_diverged > max_diverged:
-                            raise DivergenceError(
-                                epoch,
-                                math.inf,
-                                f"training aborted: {n_diverged} of "
-                                f"{len(train_set)} samples diverged in epoch {epoch}",
-                            ) from second
-                        continue
-                grads = np.concatenate([g_theta, [g_gamma]])
-                if cfg.clip_norm is not None:
-                    gnorm = float(np.linalg.norm(grads))
-                    if gnorm > cfg.clip_norm:
-                        grads *= cfg.clip_norm / gnorm
-                        logger.info(
-                            "epoch %d sample %d: gradient norm %.3g clipped to %.3g",
-                            epoch,
-                            idx,
-                            gnorm,
-                            cfg.clip_norm,
-                        )
-                z, adam = adam_step(z, grads, adam, lr_vec)
-                params = NetParams.from_flat(arch, z[:-1])
-                gamma = float(z[-1])
-                train_losses.append(loss)
+            z, adam = adam_step(z, grads, adam, lr_vec)
+            params = NetParams.from_flat(arch, z[:-1])
+            gamma = float(z[-1])
+            train_losses.append(loss)
 
-            val_losses = [
-                _val_loss(p, t, params, gamma, ode_cfg, cfg.init_window, m)
-                for (p, t), m in zip(val_set, masks_val)
-            ]
-            mean_train = float(np.mean(train_losses)) if train_losses else math.inf
-            mean_val = float(np.mean(val_losses))
-            if hist_fh is not None:
-                _history_row(hist_fh, epoch, mean_train, mean_val, gamma, adam.t)
-            logger.info(
-                "epoch %d: train %.6e val %.6e gamma %.6g",
-                epoch,
-                mean_train,
-                mean_val,
-                gamma,
-            )
-            if best_val is None or mean_val < best_val:
-                best_val = mean_val
-                best_params = params.copy()
-                best_gamma = gamma
-                best_epoch = epoch
-    finally:
-        if hist_fh is not None:
-            hist_fh.close()
+        mean_train = float(np.mean(train_losses)) if train_losses else math.inf
+        val = mean_val(params, gamma)
+        _record_epoch(history_path, epoch, mean_train, val, gamma, adam.t)
+        if val < best.val_loss:
+            best = dataclasses.replace(best, params=params, gamma=gamma, epoch=epoch, val_loss=val)
 
-    return Checkpoint(
-        params=best_params,
-        gamma=best_gamma,
-        epoch=best_epoch,
-        val_loss=best_val,
+    return dataclasses.replace(
+        best,
         epochs_completed=start_epoch + cfg.epochs - 1,
         seed=cfg.seed,
         ode_cfg=ode_cfg,

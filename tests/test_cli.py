@@ -379,6 +379,16 @@ def test_checkpoint_with_out_of_range_arch_word_exits_3(train_dir, fan_scan, tmp
     assert "checkpoint.ckpt" in capsys.readouterr().err
 
 
+def test_checkpoint_sidecar_n_params_mismatch_exits_3(train_dir, fan_scan, tmp_path, capsys):
+    ckpt = saved_checkpoint(train_dir, tmp_path)
+    sidecar = ckpt.parent / "checkpoint.ckpt.json"
+    doc = json.loads(sidecar.read_text())
+    doc["n_params"] += 1
+    sidecar.write_text(json.dumps(doc))
+    assert reconstruct_node_from(ckpt, fan_scan, tmp_path / "out") == 3
+    assert "n_params" in capsys.readouterr().err
+
+
 def test_fdk_rejects_fan_data(fan_scan, tmp_path, capsys):
     code = cli(
         "reconstruct", "--method", "fdk",
@@ -613,6 +623,30 @@ def test_train_missing_data_file_exits_2(train_dir, tmp_path, capsys):
     cfg = write_config(tmp_path / "bad.json", doc)
     assert cli("train", "--config", cfg, "--out", tmp_path) == 2
     assert "nope.cts" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, values",
+    [
+        ("ode", {"t_end": math.inf}),
+        ("ode", {"lam": math.nan}),
+        ("train_cfg", {"epochs": 1.5}),
+        ("train_cfg", {"seed": 0.5}),
+    ],
+    ids=["ode-t_end-inf", "ode-lam-nan", "train-epochs-float", "train-seed-float"],
+)
+def test_train_config_value_rejected_before_training_exits_2(
+    train_dir, tmp_path, capsys, section, values
+):
+    doc = json.loads((train_dir / "cfg1.json").read_text())
+    doc[section] = {**doc.get(section, {}), **values}
+    for entry in doc["train"] + doc["val"]:
+        for key in entry:
+            entry[key] = str(train_dir / entry[key])
+    cfg = write_config(tmp_path / "bad.json", doc)
+    assert cli("train", "--config", cfg, "--out", tmp_path / "out") == 2
+    assert next(iter(values)) in capsys.readouterr().err
+    assert not (tmp_path / "out" / "history.csv").exists()
 
 
 def test_train_resume_missing_checkpoint_exits_2(train_dir, tmp_path, capsys):

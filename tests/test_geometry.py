@@ -1,5 +1,6 @@
 """Fan and cone geometry construction, ray generation, and serialization."""
 
+import json
 import math
 
 import numpy as np
@@ -12,13 +13,11 @@ from tomoflow import (
     VolumeGrid,
     geometry_from_dict,
     geometry_to_dict,
-    load_geometry,
     make_cone_geometry,
     make_fan_geometry,
     ray_bundle,
-    ray_for,
-    save_geometry,
 )
+from ray_oracle import detector_center, ray_for
 
 
 def test_single_angle_fan_starts_at_zero():
@@ -41,7 +40,7 @@ def test_four_angle_fan_detector_at_isocenter():
     assert geom.detector_distance == 0.0
     # detector centre sits on the rotation centre at every angle
     for a in geom.angles:
-        assert np.allclose(geom.detector_center(a), 0.0)
+        assert np.allclose(detector_center(geom, a), 0.0)
 
 
 def test_full_turn_excludes_end_angle():
@@ -251,10 +250,9 @@ def test_dict_missing_field():
         geometry_from_dict({"kind": "spiral"})
 
 
-def test_geometry_file_round_trip(tmp_path):
+
+def test_geometry_json_round_trip_partial_arc():
     geom = make_fan_geometry(7, 5, 110.0, 40.0, angular_range=(0.0, math.pi))
-    path = tmp_path / "geom.json"
-    save_geometry(path, geom)
-    back = load_geometry(path)
+    back = geometry_from_dict(json.loads(json.dumps(geometry_to_dict(geom))))
     assert back.n_angles == 7
     assert np.allclose(back.angles, geom.angles, atol=1e-12)

@@ -18,12 +18,8 @@ from tomoflow import (
     NetArch,
     NetParams,
     ShapeMismatchError,
-    Volume,
-    VolumeGrid,
     init_params,
     load_net_params,
-    net_forward,
-    net_vjp,
     save_net_params,
 )
 from tomoflow import network
@@ -49,12 +45,11 @@ def unzero_projection(params, seed):
 
 
 def test_fresh_network_is_the_zero_map():
-    grid = VolumeGrid((8, 8), 1.0)
     for seed in range(5):
         params = init_params(NetArch(), seed)
         x = np.random.default_rng(seed + 50).normal(0.0, 1.0, (8, 8))
-        out = net_forward(params, Volume(grid, x))
-        assert np.array_equal(out.values, np.zeros((8, 8)))
+        out, _ = net_apply_array(params, x)
+        assert np.array_equal(out, np.zeros((8, 8)))
 
 
 def test_init_is_deterministic_per_seed():
@@ -91,9 +86,8 @@ def test_hand_built_identity_configuration():
     params.weights[1][0, 0] = 1.0
 
     x = np.random.default_rng(0).uniform(0.0, 1.0, (10, 10))
-    grid = VolumeGrid((10, 10), 1.0)
-    out = net_forward(params, Volume(grid, x))
-    assert np.array_equal(out.values, x)
+    out, _ = net_apply_array(params, x)
+    assert np.array_equal(out, x)
 
 
 def test_periodic_padding_gives_even_shift_equivariance():
@@ -109,10 +103,9 @@ def test_periodic_padding_gives_even_shift_equivariance():
 
 
 def test_output_shape_matches_input_shape():
-    grid = VolumeGrid((12, 16), 1.0)
     params = unzero_projection(init_params(NetArch(), 0), 1)
     x = np.random.default_rng(2).normal(0.0, 1.0, (12, 16))
-    assert net_forward(params, Volume(grid, x)).values.shape == (12, 16)
+    assert net_apply_array(params, x)[0].shape == (12, 16)
 
 
 # --- gradients ---
@@ -124,9 +117,9 @@ def directional_fd_errors(arch, shape, seed, pad_mode="zeros", n_dirs=4, h=1e-6)
     rng = np.random.default_rng(seed + 1)
     x = rng.normal(0.0, 1.0, shape)
     c = rng.normal(0.0, 1.0, shape)
-    grid = VolumeGrid(shape, 1.0)
 
-    grads, gx = net_vjp(params, Volume(grid, x), Volume(grid, c), pad_mode)
+    _, tape = net_apply_array(params, x, pad_mode)
+    grads, gx = net_vjp_array(params, tape, c)
     gflat = grads.flatten()
     theta = params.flatten()
 
@@ -146,7 +139,7 @@ def directional_fd_errors(arch, shape, seed, pad_mode="zeros", n_dirs=4, h=1e-6)
 
         dx = np.random.default_rng(300 + k).normal(0.0, 1.0, shape)
         fdx = (loss_x(x + h * dx) - loss_x(x - h * dx)) / (2.0 * h)
-        analytic_x = float(np.sum(gx.values * dx))
+        analytic_x = float(np.sum(gx * dx))
         worst_x = max(worst_x, abs(fdx - analytic_x) / abs(analytic_x))
     return worst_p, worst_x
 
@@ -319,24 +312,12 @@ def test_3d_network_memory_is_bounded():
 
 
 def test_zero_cotangent_gives_zero_gradients():
-    grid = VolumeGrid((8, 8), 1.0)
     params = unzero_projection(init_params(NetArch(), 0), 1)
-    x = Volume(grid, np.random.default_rng(5).normal(0.0, 1.0, (8, 8)))
-    grads, gx = net_vjp(params, x, Volume(grid, np.zeros((8, 8))))
+    x = np.random.default_rng(5).normal(0.0, 1.0, (8, 8))
+    _, tape = net_apply_array(params, x)
+    grads, gx = net_vjp_array(params, tape, np.zeros((8, 8)))
     assert np.array_equal(grads.flatten(), np.zeros(params.n_params))
-    assert np.array_equal(gx.values, np.zeros((8, 8)))
-
-
-def test_vjp_rejects_mismatched_cotangent():
-    grid = VolumeGrid((8, 8), 1.0)
-    small = VolumeGrid((4, 4), 1.0)
-    params = init_params(NetArch(), 0)
-    with pytest.raises(ShapeMismatchError):
-        net_vjp(
-            params,
-            Volume(grid, np.zeros((8, 8))),
-            Volume(small, np.zeros((4, 4))),
-        )
+    assert np.array_equal(gx, np.zeros((8, 8)))
 
 
 # --- shape contract ---
@@ -344,22 +325,20 @@ def test_vjp_rejects_mismatched_cotangent():
 
 def test_input_sides_must_divide_by_pool_factor():
     params = init_params(NetArch(), 0)  # pool factor 2
-    grid = VolumeGrid((7, 8), 1.0)
     with pytest.raises(ShapeMismatchError):
-        net_forward(params, Volume(grid, np.zeros((7, 8))))
+        net_apply_array(params, np.zeros((7, 8)))
 
     deep = init_params(NetArch(n_levels=3, base_channels=2), 0)  # pool factor 4
     with pytest.raises(ShapeMismatchError):
-        net_forward(deep, Volume(VolumeGrid((10, 10), 1.0), np.zeros((10, 10))))
-    ok = net_forward(deep, Volume(VolumeGrid((12, 12), 1.0), np.zeros((12, 12))))
-    assert ok.values.shape == (12, 12)
+        net_apply_array(deep, np.zeros((10, 10)))
+    ok, _ = net_apply_array(deep, np.zeros((12, 12)))
+    assert ok.shape == (12, 12)
 
 
 def test_dimensionality_mismatch_is_rejected():
     params = init_params(NetArch(dims=2), 0)
-    grid = VolumeGrid((4, 4, 4), 1.0)
     with pytest.raises(ShapeMismatchError):
-        net_forward(params, Volume(grid, np.zeros((4, 4, 4))))
+        net_apply_array(params, np.zeros((4, 4, 4)))
 
 
 def test_unknown_pad_mode_is_rejected():

@@ -22,7 +22,6 @@ from tomoflow import (
     Volume,
     VolumeGrid,
     bind,
-    dynamics,
     fbp_fan,
     fdk_cone,
     forward_project,
@@ -123,6 +122,23 @@ def test_ode_config_rejects_bad_values(kwargs):
         OdeConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"t_end": math.inf},
+        {"step_size": math.inf},
+        {"lam": math.nan},
+        {"mu": math.inf},
+        {"lam": -math.inf},
+    ],
+    ids=["t_end-inf", "step_size-inf", "lam-nan", "mu-inf", "lam-minus-inf"],
+)
+def test_ode_config_rejects_non_finite_values(kwargs):
+    # round(t_end / step_size) of an infinite ratio raises OverflowError, not ValueError
+    with pytest.raises(ValueError, match="finite"):
+        OdeConfig(**kwargs)
+
+
 def test_n_steps_property():
     assert OdeConfig().n_steps == 20
     assert OdeConfig(t_end=2.0, step_size=0.1).n_steps == 20
@@ -138,13 +154,13 @@ def test_dynamics_is_the_documented_composition():
     cfg = OdeConfig(lam=0.7, mu=2.0)
     gamma = 0.03
 
-    out = dynamics(x, p, params, gamma, cfg)
+    out = NodeDynamics(p, grid, params, gamma, cfg)(x.values)
 
     op = bind(geom, grid)
     residual = op.forward(x.values) - p.values.reshape(-1)
     reg, _ = net_apply_array(params, x.values)
     expected = -cfg.lam * (gamma * op.adjoint(residual) + cfg.mu * reg)
-    assert np.array_equal(out.values, expected)
+    assert np.array_equal(out, expected)
 
 
 def test_consistent_state_is_an_equilibrium():

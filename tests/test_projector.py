@@ -25,9 +25,9 @@ from tomoflow import (
     make_cone_geometry,
     make_fan_geometry,
     op_norm_estimate,
-    ray_for,
 )
 from tomoflow.geometry import geometry_from_dict
+from ray_oracle import ray_for
 
 
 def reference_integral_2d(values, grid, origin, direction):

@@ -10,6 +10,7 @@ history file byte for byte.
 import csv
 import json
 import logging
+import math
 import struct
 
 import numpy as np
@@ -483,8 +484,15 @@ def test_saving_without_optimizer_state_removes_a_stale_one(tmp_path):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("ode", [1]), ("train", "adam"), ("gamma", [0.25]), ("ode", {"t_end": "one"})],
-    ids=["ode-list", "train-string", "gamma-list", "ode-value-string"],
+    [
+        ("ode", [1]),
+        ("train", "adam"),
+        ("gamma", [0.25]),
+        ("ode", {"t_end": "one"}),
+        ("ode", {"t_end": math.inf}),
+        ("ode", {"step_size": 0.05, "mu": math.nan}),
+    ],
+    ids=["ode-list", "train-string", "gamma-list", "ode-value-string", "ode-t_end-inf", "ode-mu-nan"],
 )
 def test_checkpoint_sidecar_field_of_wrong_type_is_rejected(tmp_path, field, value):
     path = tmp_path / "model.bin"
@@ -508,6 +516,58 @@ def test_broken_checkpoint_sidecar_is_rejected(tmp_path, text):
     (tmp_path / "model.bin.json").write_text(text)
     with pytest.raises(DataFormatError, match="sidecar"):
         load_checkpoint(path)
+
+
+def test_checkpoint_sidecar_n_params_must_match_the_parameter_file(tmp_path):
+    path = tmp_path / "model.bin"
+    ck = hand_checkpoint()
+    save_checkpoint(ck, path)
+    sidecar = tmp_path / "model.bin.json"
+    doc = json.loads(sidecar.read_text())
+    assert doc["n_params"] == ck.params.n_params
+    for wrong in (ck.params.n_params + 1, 0, "777"):
+        doc["n_params"] = wrong
+        sidecar.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match="n_params"):
+            load_checkpoint(path)
+
+
+def test_fresh_run_equals_a_resume_from_a_hand_built_epoch_zero(tmp_path):
+    # the epoch-0 checkpoint is built the way the fan-train benchmark builds
+    # it: untrained params, gamma_init, zero Adam moments, mean validation loss
+    grid, geom, train_set, val_set = tiny_sets(n_train=3, n_val=2)
+    arch = NetArch(n_levels=1, base_channels=2)
+    ode_cfg = OdeConfig()
+    cfg = TrainConfig(epochs=3, seed=5, lr_net=1e-3, init_window="hann")
+    mask = fov_mask(grid, geom)
+    params = init_params(arch, cfg.seed)
+    gamma = cfg.gamma_init
+    val0 = np.mean([
+        l1_fov_loss(reconstruct_node(p, grid, params, gamma, ode_cfg, window=cfg.init_window),
+                    target, mask)
+        for p, target in val_set
+    ])
+    z = np.concatenate([params.flatten(), [gamma]])
+    epoch0 = Checkpoint(
+        params=params, gamma=gamma, epoch=0, val_loss=float(val0), epochs_completed=0,
+        seed=cfg.seed, ode_cfg=ode_cfg, train_cfg=cfg, adam=AdamState.zeros(z.size),
+        latest_flat=z,
+    )
+
+    fresh_hist, resumed_hist = tmp_path / "fresh.csv", tmp_path / "resumed.csv"
+    fresh = train(train_set, val_set, arch, ode_cfg, cfg, history_path=fresh_hist)
+    resumed = train(train_set, val_set, arch, ode_cfg, cfg, history_path=resumed_hist,
+                    resume_from=epoch0)
+
+    assert np.array_equal(fresh.latest_flat, resumed.latest_flat)
+    assert np.array_equal(fresh.params.flatten(), resumed.params.flatten())
+    assert fresh.gamma == resumed.gamma
+    assert fresh.epoch == resumed.epoch
+    assert fresh.val_loss == resumed.val_loss
+    assert fresh.adam.t == resumed.adam.t == 9
+    fresh_rows = fresh_hist.read_text().splitlines()
+    assert fresh_rows[1] == f"0,,{float(val0)!r},{gamma!r},0"
+    assert resumed_hist.read_text().splitlines() == [fresh_rows[0]] + fresh_rows[2:]
 
 
 def test_datasets_are_validated():
@@ -534,6 +594,10 @@ def test_datasets_are_validated():
         ({"beta2": -0.1}, "beta2"),
         ({"eps": 0.0}, "eps"),
         ({"clip_norm": 0.0}, "clip_norm"),
+        ({"epochs": 1.5}, "epochs"),
+        ({"epochs": True}, "epochs"),
+        ({"seed": 0.5}, "seed"),
+        ({"seed": False}, "seed"),
     ],
 )
 def test_train_config_rejects_bad_values(kwargs, field):
