@@ -1,4 +1,4 @@
-"""Analytic reconstruction: fan-beam filtered backprojection and FDK.
+"""Analytic reconstruction: fan-beam FBP and cone-beam FDK through one backprojection.
 
 The ramp filter is defined by the exact discrete spatial-domain taps of the
 band-limited ramp (Ram-Lak),
@@ -12,12 +12,14 @@ domain (rather than as a |w| frequency ramp) keeps the DC response of the
 sampled kernel, which shrinks like 1/n but is not zero; tests pin the measured
 values.
 
-Both reconstructors share the flat-detector weighting scheme: detector
-coordinates are rescaled onto a virtual detector through the isocenter
-(factor D / (D + D_od)), rows are cosine-weighted by D / sqrt(D^2 + s^2 + v^2),
-ramp-filtered along the detector row, and backprojected with the fan-beam
-magnification weight 1/U^2 where U = (D - x . beta_hat) / D.  The closing 0.5
-accounts for every line being measured twice over a full turn.
+FBP and FDK are one filtered backprojection, with a fan scan as a detector of
+one row at v = 0: detector coordinates are rescaled onto a virtual detector
+through the isocenter (factor D / (D + D_od)), rows are cosine-weighted by
+D / sqrt(D^2 + s^2 + v^2), ramp-filtered along the detector row, and
+backprojected with the fan-beam magnification weight 1/U^2 where
+U = (D - x . beta_hat) / D.  The closing 0.5 accounts for every line being
+measured twice over a full turn.  Interpolation is separable: columns first,
+giving every row at each (x, y), then on a 3D grid those rows at each z.
 """
 
 from __future__ import annotations
@@ -90,21 +92,19 @@ def ramp_filter(row: np.ndarray, pixel_size: float, window: str = "ram-lak") -> 
 def _filtered_projections(p: Sinogram, window: str):
     """Cosine pre-weighting and row filtering shared by FBP and FDK.
 
-    Returns (q, s0, ds) with q the filtered data sampled on the virtual
-    detector through the isocenter.
+    Returns (q, s0, v0, ds) with q the filtered data sampled on the virtual
+    detector through the isocenter, laid out (angle, column, row).
     """
     geom = p.geom
     d_src = geom.source_distance
     rescale = d_src / (d_src + geom.detector_distance)
     ds = geom.detector_pixel_size * rescale
     s = geom.detector_u_offsets() * rescale
-    if isinstance(geom, FanGeometry):
-        weight = d_src / np.sqrt(d_src**2 + s**2)
-    else:
-        v = geom.detector_v_offsets() * rescale
-        weight = d_src / np.sqrt(d_src**2 + s[None, :] ** 2 + v[:, None] ** 2)
-    q = ramp_filter(p.values * weight, ds, window) * (ds * 0.5)
-    return q, s[0], ds
+    v = geom.detector_v_offsets() * rescale
+    weight = d_src / np.sqrt(d_src**2 + s[None] ** 2 + v[:, None] ** 2)
+    rows = p.values.reshape(geom.n_angles, len(v), len(s))
+    q = ramp_filter(rows * weight, ds, window) * (ds * 0.5)
+    return np.ascontiguousarray(q.swapaxes(1, 2)), s[0], v[0], ds
 
 
 def _lateral_coords(grid: VolumeGrid, angle: float, d_src: float):
@@ -121,20 +121,33 @@ def _lateral_coords(grid: VolumeGrid, angle: float, d_src: float):
     return safe, valid, s_virtual
 
 
+def _backproject(p: Sinogram, grid: VolumeGrid, window: str) -> Volume:
+    """Filtered backprojection of a fan scan onto a 2D grid or a cone scan onto a 3D one."""
+    geom = p.geom
+    if grid.ndim != geom.ndim:
+        raise InvalidGeometryError(f"a {geom.ndim}D scan needs a {geom.ndim}D grid, got {grid.ndim}D")
+    q, s0, v0, ds = _filtered_projections(p, window)
+    n_cols, n_rows = q.shape[1:]
+    acc = np.zeros(grid.shape).reshape(*grid.shape[:2], -1)
+    for i, angle in enumerate(geom.angles):
+        mag, valid, s_virtual = _lateral_coords(grid, float(angle), geom.source_distance)
+        j0, w0, j1, w1 = _linear_taps((s_virtual - s0) / ds, n_cols, valid)
+        mag = mag[..., None]
+        # every detector row at each (x, y): (nx, ny, rows)
+        val = q[i].take(j0, 0) * w0[..., None] + q[i].take(j1, 0) * w1[..., None]
+        if grid.ndim == 3:
+            zs = grid.axis_centers(2) - geom.trajectory_height
+            r0, w0, r1, w1 = _linear_taps((zs / mag - v0) / ds, n_rows)
+            val = np.take_along_axis(val, r0, 2) * w0 + np.take_along_axis(val, r1, 2) * w1
+        acc += val / mag**2
+    return Volume(grid, acc.reshape(grid.shape) * geom.angular_increment)
+
+
 def fbp_fan(p: Sinogram, grid: VolumeGrid, window: str = "ram-lak") -> Volume:
     """Fan-beam filtered backprojection onto a 2D grid."""
     if not isinstance(p.geom, FanGeometry):
-        raise InvalidGeometryError("fbp_fan requires a fan-beam sinogram")
-    if grid.ndim != 2:
-        raise InvalidGeometryError("fbp_fan reconstructs onto a 2D grid")
-    geom = p.geom
-    q, s0, ds = _filtered_projections(p, window)
-    acc = np.zeros(grid.shape)
-    for i, angle in enumerate(geom.angles):
-        mag, valid, s_virtual = _lateral_coords(grid, float(angle), geom.source_distance)
-        j0, w0, j1, w1 = _linear_taps((s_virtual - s0) / ds, q.shape[-1], valid)
-        acc += (q[i][j0] * w0 + q[i][j1] * w1) / mag**2
-    return Volume(grid, acc * geom.angular_increment)
+        raise InvalidGeometryError("fbp needs fan-beam data; use fdk for cone-beam")
+    return _backproject(p, grid, window)
 
 
 def fdk_cone(p: Sinogram, grid: VolumeGrid, window: str = "ram-lak") -> Volume:
@@ -145,31 +158,5 @@ def fdk_cone(p: Sinogram, grid: VolumeGrid, window: str = "ram-lak") -> Volume:
     trajectory plane.
     """
     if not isinstance(p.geom, ConeGeometry):
-        raise InvalidGeometryError("fdk_cone requires a cone-beam sinogram")
-    if grid.ndim != 3:
-        raise InvalidGeometryError("fdk_cone reconstructs onto a 3D grid")
-    geom = p.geom
-    q, s0, ds = _filtered_projections(p, window)
-    v0 = geom.detector_v_offsets()[0] * geom.source_distance / (
-        geom.source_distance + geom.detector_distance
-    )
-    n_rows, n_cols = geom.detector_rows, geom.detector_cols
-    zs = grid.axis_centers(2) - geom.trajectory_height
-    acc = np.zeros(grid.shape)
-    for i, angle in enumerate(geom.angles):
-        mag, valid, s_virtual = _lateral_coords(grid, float(angle), geom.source_distance)
-        j0, cj0, j1, cj1 = (
-            tap[:, :, None] for tap in _linear_taps((s_virtual - s0) / ds, n_cols, valid)
-        )
-        fv = (zs[None, None, :] / mag[:, :, None] - v0) / ds
-        r0, cr0, r1, cr1 = _linear_taps(fv, n_rows)
-
-        q_i = q[i]
-        val = (
-            q_i[r0, j0] * cr0 * cj0
-            + q_i[r0, j1] * cr0 * cj1
-            + q_i[r1, j0] * cr1 * cj0
-            + q_i[r1, j1] * cr1 * cj1
-        )
-        acc += val / (mag**2)[:, :, None]
-    return Volume(grid, acc * geom.angular_increment)
+        raise InvalidGeometryError("fdk needs cone-beam data; use fbp for fan-beam")
+    return _backproject(p, grid, window)

@@ -50,8 +50,13 @@ class IterConfig:
     tv_eps: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.n_iters, (int, np.integer)) or self.n_iters < 1:
-            raise ValueError(f"n_iters must be >= 1, got {self.n_iters!r}")
+        n_iters = self.n_iters
+        if isinstance(n_iters, bool) or not isinstance(n_iters, (int, np.integer)) or n_iters < 1:
+            raise ValueError(f"n_iters must be an integer >= 1, got {n_iters!r}")
+        for name in ("step_size", "tv_weight", "tv_eps"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.step_size is not None and not self.step_size > 0:
             raise ValueError(f"step_size must be > 0, got {self.step_size}")
         if self.tv_weight < 0:

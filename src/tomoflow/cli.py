@@ -44,7 +44,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .analytic import fbp_fan, fdk_cone
-from .geometry import ConeGeometry, FanGeometry, VolumeGrid, geometry_from_dict, geometry_to_dict
+from .geometry import FanGeometry, VolumeGrid, geometry_from_dict, geometry_to_dict
 from .metrics import compute_metrics
 from .network import NetArch, init_params
 from .ode import OdeConfig, reconstruct_node
@@ -185,24 +185,19 @@ def _recon_grid(args, reference):
 def _reconstruct_volume(args, p, grid):
     method = args.method
     if method == "fbp":
-        if not isinstance(p.geom, FanGeometry):
-            raise InvalidGeometryError("fbp needs fan-beam data; use fdk for cone-beam")
         return fbp_fan(p, grid, window=args.window)
     if method == "fdk":
-        if not isinstance(p.geom, ConeGeometry):
-            raise InvalidGeometryError("fdk needs cone-beam data; use fbp for fan-beam")
         return fdk_cone(p, grid, window=args.window)
     if method == "sirt":
-        cfg = _build(
-            "iters", IterConfig, {"n_iters": args.iters or 200, "nonneg": True}
-        )
+        n_iters = 200 if args.iters is None else args.iters
+        cfg = _build("iters", IterConfig, {"n_iters": n_iters, "nonneg": True})
         return sirt(p, grid, cfg)
     if method == "tv":
         cfg = _build(
             "iters",
             IterConfig,
             {
-                "n_iters": args.iters or 150,
+                "n_iters": 150 if args.iters is None else args.iters,
                 "tv_weight": args.tv_weight,
                 "step_size": args.step_size,
                 "tv_eps": args.tv_eps,
@@ -232,6 +227,8 @@ def _reconstruct_volume(args, p, grid):
 def cmd_reconstruct(args) -> int:
     if args.solve_log is not None and args.method != "node":
         raise ConfigError("solve-log", "only --method node writes a solve log")
+    if args.gamma is not None and not (math.isfinite(args.gamma) and args.gamma >= 0):
+        raise ConfigError("gamma", f"must be finite and >= 0, got {args.gamma}")
     out = _out_dir(args)
     p = load_sinogram(args.sinogram)
     reference = load_volume(args.reference) if args.reference else None

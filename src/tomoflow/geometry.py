@@ -1,8 +1,10 @@
 """Acquisition geometries for fan-beam (2D) and circular cone-beam (3D) scans.
 
 Both scans share one base class, because a fan scan is the one-row midplane
-(z = 0) of a cone scan: the checks, angles, detector columns and in-plane
+(z = 0) of a cone scan: the checks, angles, detector offsets and in-plane
 rays are written once, and only the cone's detector rows and height differ.
+detector_v_offsets lives on the base too, so a fan's detector is one row at
+v = 0 and FBP and FDK backproject through one loop.
 
 Conventions used throughout the toolkit:
 
@@ -163,6 +165,10 @@ class _Scan:
         """Signed u coordinates of detector column centres, in mm."""
         return _centred(self.detector_shape[-1], self.detector_pixel_size)
 
+    def detector_v_offsets(self) -> np.ndarray:
+        """Signed v coordinates of detector row centres, in mm; [0.0] for a fan."""
+        return _centred(math.prod(self.detector_shape[:-1]), self.detector_pixel_size)
+
 
 @dataclass(frozen=True)
 class FanGeometry(_Scan):
@@ -208,9 +214,6 @@ class ConeGeometry(_Scan):
         return 2.0 * math.atan2(
             half_height, self.source_distance + self.detector_distance
         )
-
-    def detector_v_offsets(self) -> np.ndarray:
-        return _centred(self.detector_rows, self.detector_pixel_size)
 
 
 Geometry = FanGeometry | ConeGeometry

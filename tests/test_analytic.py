@@ -15,6 +15,7 @@ from tomoflow import (
     make_fan_geometry,
     ramp_filter,
 )
+from analytic_oracle import fbp_fan_oracle, fdk_cone_oracle
 
 
 def disk_2d(grid, radius, value):
@@ -211,3 +212,55 @@ def test_geometry_type_mismatch():
         fbp_fan(Sinogram.zeros(cone), VolumeGrid((4, 4, 4), 1.0))
     with pytest.raises(InvalidGeometryError):
         fdk_cone(Sinogram.zeros(fan), VolumeGrid((4, 4), 1.0))
+    # the right scan onto a grid of the wrong dimension
+    with pytest.raises(InvalidGeometryError):
+        fbp_fan(Sinogram.zeros(fan), VolumeGrid((4, 4, 4), 1.0))
+    with pytest.raises(InvalidGeometryError):
+        fdk_cone(Sinogram.zeros(cone), VolumeGrid((4, 4), 1.0))
+
+
+# The cone-recon benchmark scan, and variants that move each term of the
+# row interpolation: the trajectory height (z offset), a partial arc (angles)
+# and a non-square, off-centre grid (magnification and z at every voxel).
+CONE_RECON = dict(
+    n_angles=30, detector_rows=24, detector_cols=24,
+    source_distance=120.0, detector_distance=120.0, detector_pixel_size=3.0,
+)
+CONE_VARIANTS = {
+    "cone-recon": ({}, ((32, 32, 32), 1.0, None)),
+    "raised-trajectory": ({"trajectory_height": 7.5}, ((32, 32, 32), 1.0, None)),
+    "partial-arc": ({"angular_range": (0.3, 0.3 + 0.6 * np.pi)}, ((32, 32, 32), 1.0, None)),
+    "non-square-grid": ({}, ((20, 28, 12), 1.25, (1.5, -2.0, 4.0))),
+}
+
+
+@pytest.mark.parametrize("window", ["ram-lak", "hann"])
+@pytest.mark.parametrize("setup", sorted(CONE_VARIANTS))
+def test_fdk_matches_the_four_tap_oracle(setup, window):
+    geom_kw, (shape, voxel, origin) = CONE_VARIANTS[setup]
+    geom = make_cone_geometry(**{**CONE_RECON, **geom_kw})
+    grid = VolumeGrid(shape, voxel, origin)
+    rng = np.random.default_rng(12)
+    p = Sinogram(geom, rng.standard_normal((geom.n_angles,) + geom.detector_shape))
+    want = fdk_cone_oracle(p, grid, window)
+    got = fdk_cone(p, grid, window).values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("window", ["ram-lak", "hann"])
+@pytest.mark.parametrize(
+    "geom, grid",
+    [
+        # the fan-recon benchmark scan
+        (make_fan_geometry(30, 95, 150.0, 150.0, detector_pixel_size=1.5), VolumeGrid((64, 64), 1.0)),
+        (
+            make_fan_geometry(17, 40, 70.0, 20.0, (0.5, 2.5), detector_pixel_size=1.25),
+            VolumeGrid((24, 36), 0.8, (2.0, -1.0)),
+        ),
+    ],
+    ids=["fan-recon", "partial-arc-off-centre"],
+)
+def test_fbp_is_bitwise_the_one_row_formula(geom, grid, window):
+    rng = np.random.default_rng(13)
+    p = Sinogram(geom, rng.standard_normal((geom.n_angles,) + geom.detector_shape))
+    assert np.array_equal(fbp_fan(p, grid, window).values, fbp_fan_oracle(p, grid, window))

@@ -10,6 +10,7 @@ must come out flatter.
 """
 
 import csv
+import math
 import warnings
 
 import numpy as np
@@ -313,6 +314,13 @@ def test_warm_start_from_x0_is_used():
         {"tv_weight": -1e-9},
         {"tv_eps": 0.0},
         {"tv_eps": -1e-8},
+        {"n_iters": True},
+        {"step_size": math.inf},
+        {"step_size": math.nan},
+        {"tv_weight": math.inf},
+        {"tv_weight": math.nan},
+        {"tv_eps": math.inf},
+        {"tv_eps": math.nan},
     ],
 )
 def test_iter_config_rejects_bad_values(kwargs):

@@ -396,7 +396,10 @@ def test_fdk_rejects_fan_data(fan_scan, tmp_path, capsys):
         "--grid-shape", "32,32", "--out", tmp_path,
     )
     assert code == 3
-    assert "cone-beam" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "cone-beam" in err
+    assert "use fbp" in err
+    assert not (tmp_path / "recon_fdk.ctv").exists()
 
 
 def test_fbp_rejects_cone_data(cone_scan, tmp_path, capsys):
@@ -406,7 +409,10 @@ def test_fbp_rejects_cone_data(cone_scan, tmp_path, capsys):
         "--grid-shape", "16,16,16", "--out", tmp_path,
     )
     assert code == 3
-    assert "fan-beam" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "fan-beam" in err
+    assert "use fdk" in err
+    assert not (tmp_path / "recon_fbp.ctv").exists()
 
 
 def test_reconstruct_missing_sinogram_exits_2(tmp_path, capsys):
@@ -453,6 +459,42 @@ def test_iterative_methods_smoke(fan_scan, tmp_path, method):
     assert 0.0 < report["ssim"] <= 1.0
     man = json.loads((tmp_path / f"manifest_{method}.json").read_text())
     assert man["iters"] == 10
+
+
+@pytest.mark.parametrize(
+    "method, flag, value",
+    [
+        ("tv", "--tv-weight", "nan"),
+        ("tv", "--tv-weight", "inf"),
+        ("tv", "--step-size", "inf"),
+        ("tv", "--tv-eps", "nan"),
+        ("sirt", "--iters", "0"),
+        ("tv", "--iters", "0"),
+    ],
+)
+def test_iterative_config_value_rejected_exits_2(fan_scan, tmp_path, capsys, method, flag, value):
+    code = cli(
+        "reconstruct", "--method", method, flag, value,
+        "--sinogram", fan_scan / "sinogram.cts",
+        "--grid-shape", "32,32", "--out", tmp_path,
+    )
+    assert code == 2
+    assert "iters" in capsys.readouterr().err
+    assert not (tmp_path / f"recon_{method}.ctv").exists()
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf", "-inf", "-5", "-0.001"])
+def test_node_gamma_must_be_finite_and_nonnegative(tmp_path, capsys, gamma):
+    # the sinogram path does not exist: gamma is checked before any file is read
+    code = cli(
+        "reconstruct", "--method", "node", "--untrained", f"--gamma={gamma}",
+        "--sinogram", tmp_path / "nope.cts",
+        "--grid-shape", "32,32", "--out", tmp_path,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "gamma" in err
+    assert "file not found" not in err
 
 
 def test_fdk_cone_roundtrip_with_slices(cone_scan, tmp_path):

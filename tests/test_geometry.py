@@ -102,6 +102,13 @@ def test_single_row_cone_reduces_to_fan():
             assert abs(rc.direction[2]) < 1e-12
 
 
+def test_fan_detector_is_one_row_at_v_zero():
+    fan = make_fan_geometry(12, 9, 80.0, 40.0, detector_pixel_size=1.5)
+    assert fan.detector_v_offsets().tolist() == [0.0]
+    cone = make_cone_geometry(12, 4, 9, 80.0, 40.0, 1.5)
+    assert cone.detector_v_offsets().tolist() == [-2.25, -0.75, 0.75, 2.25]
+
+
 def test_cone_ray_count_and_source_circle():
     geom = make_cone_geometry(8, 4, 4, 50.0, 50.0, 2.0)
     origins, dirs = ray_bundle(geom)
