@@ -211,7 +211,7 @@ def _reconstruct_volume(args, p, grid):
     if args.checkpoint is not None and args.untrained:
         raise ConfigError("checkpoint", "--checkpoint and --untrained are mutually exclusive")
     if args.untrained:
-        params = init_params(NetArch(), seed=0)
+        params = init_params(NetArch(dims=grid.ndim), seed=0)
         gamma = args.gamma
         ode_cfg = OdeConfig()
     else:

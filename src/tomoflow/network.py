@@ -23,13 +23,17 @@ a power-of-two scale.
 ReLU uses the subgradient 0 at exactly 0.  Padding is zero ("same") by
 default; periodic padding exists for the shift-equivariance test mode.
 
-Parameters live in an explicit layer list and flatten to a single vector in a
-fixed order (per conv: kernel, bias, then instance-norm scale and shift when
-enabled), which is the order the optimizer and the checkpoint format use.
+Parameters live in per-kind tensor lists (kernels, biases, norm scales and
+shifts) and flatten to a single vector, the one the optimizer and the
+checkpoint format use.  Its order is written once, in _layout: per conv,
+kernel, bias, then instance-norm scale and shift when enabled.  from_flat,
+flatten, init_params and the VJP's gradient all walk it.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,14 +103,22 @@ def _conv_plan(arch: NetArch) -> list[tuple[int, int, tuple[int, ...], bool]]:
     return plan
 
 
+@functools.cache
+def _layout(arch: NetArch) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """(NetParams list name, shape) of every tensor in flat-vector order: per
+    conv of _conv_plan its kernel and bias, then its instance-norm scale and
+    shift when enabled; the projection has no norm."""
+    layout = []
+    for c_in, c_out, k, is_proj in _conv_plan(arch):
+        layout += [("weights", (c_out, c_in) + k), ("biases", (c_out,))]
+        if arch.instance_norm and not is_proj:
+            layout += [("norm_scales", (c_out,)), ("norm_shifts", (c_out,))]
+    return tuple(layout)
+
+
 def _n_params(arch: NetArch) -> int:
     """Length of the flat parameter vector of arch."""
-    total = 0
-    for c_in, c_out, k, is_proj in _conv_plan(arch):
-        total += c_out * c_in * int(np.prod(k)) + c_out
-        if arch.instance_norm and not is_proj:
-            total += 2 * c_out
-    return total
+    return sum(math.prod(shape) for _, shape in _layout(arch))
 
 
 @dataclass
@@ -121,78 +133,46 @@ class NetParams:
 
     @property
     def n_params(self) -> int:
-        total = sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-        if self.norm_scales is not None:
-            total += sum(s.size for s in self.norm_scales)
-            total += sum(s.size for s in self.norm_shifts)
-        return total
+        return _n_params(self.arch)
 
     def flatten(self) -> np.ndarray:
-        """Single parameter vector; inverse of from_flat."""
-        parts = []
-        for i in range(len(self.weights)):
-            parts.append(self.weights[i].ravel())
-            parts.append(self.biases[i].ravel())
-            if self.norm_scales is not None and i < len(self.norm_scales):
-                parts.append(self.norm_scales[i].ravel())
-                parts.append(self.norm_shifts[i].ravel())
-        return np.concatenate(parts)
+        """Single parameter vector; inverse of from_flat.  Reads the lists as
+        they are now, so a rebound entry is seen."""
+        layout = _layout(self.arch)
+        lists = {name: iter(getattr(self, name)) for name in {n for n, _ in layout}}
+        return np.concatenate([next(lists[name]).ravel() for name, _ in layout])
 
     @classmethod
     def from_flat(cls, arch: NetArch, vec: np.ndarray) -> "NetParams":
-        vec = np.asarray(vec, dtype=np.float64)
+        """Tensors that are views of one private copy of vec."""
+        vec = np.array(vec, dtype=np.float64)
         needed = _n_params(arch)
         if vec.size != needed:
             raise ShapeMismatchError(
                 f"parameter vector has {vec.size} entries, architecture needs {needed}"
             )
-        weights, biases = [], []
-        scales = [] if arch.instance_norm else None
-        shifts = [] if arch.instance_norm else None
+        lists = {}
         pos = 0
-
-        def take(shape):
-            nonlocal pos
-            size = int(np.prod(shape))
-            out = vec[pos : pos + size].reshape(shape).copy()
+        for name, shape in _layout(arch):
+            size = math.prod(shape)
+            lists.setdefault(name, []).append(vec[pos : pos + size].reshape(shape))
             pos += size
-            return out
-
-        for c_in, c_out, k, is_proj in _conv_plan(arch):
-            weights.append(take((c_out, c_in) + k))
-            biases.append(take((c_out,)))
-            if arch.instance_norm and not is_proj:
-                scales.append(take((c_out,)))
-                shifts.append(take((c_out,)))
-        return cls(arch, weights, biases, scales, shifts)
-
-    def copy(self) -> "NetParams":
-        return NetParams.from_flat(self.arch, self.flatten())
+        return cls(arch, **lists)
 
 
 def init_params(arch: NetArch, seed: int) -> NetParams:
-    """He-initialized hidden layers, exactly-zero final projection.
+    """He-initialized hidden layers, unit norm scales, everything else zero.
 
-    Zero projection makes the untrained network the zero map, so it has no
-    influence on the dynamics until training moves it.
+    The exactly-zero final projection makes the untrained network the zero
+    map, so it has no influence on the dynamics until training moves it.
     """
     rng = np.random.default_rng(seed)
-    plan = _conv_plan(arch)
-    weights, biases = [], []
-    scales = [] if arch.instance_norm else None
-    shifts = [] if arch.instance_norm else None
-    for c_in, c_out, k, is_proj in plan:
-        shape = (c_out, c_in) + k
-        if is_proj:
-            weights.append(np.zeros(shape))
-        else:
-            fan_in = c_in * int(np.prod(k))
-            weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), shape))
-            if arch.instance_norm:
-                scales.append(np.ones(c_out))
-                shifts.append(np.zeros(c_out))
-        biases.append(np.zeros(c_out))
-    return NetParams(arch, weights, biases, scales, shifts)
+    params = NetParams.from_flat(arch, np.zeros(_n_params(arch)))
+    for w in params.weights[:-1]:
+        w[...] = rng.normal(0.0, np.sqrt(2.0 / w[0].size), w.shape)
+    for scale in params.norm_scales or ():
+        scale[...] = 1.0
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -404,33 +384,24 @@ def net_vjp_array(params: NetParams, tape, gy: np.ndarray):
     pad_mode = tape["pad_mode"]
     use_norm = arch.instance_norm
     levels = arch.n_levels
-    n_convs = len(params.weights)
-
-    gws = [None] * n_convs
-    gbs = [None] * n_convs
-    gscales = [None] * (n_convs - 1) if use_norm else None
-    gshifts = [None] * (n_convs - 1) if use_norm else None
+    grads = NetParams.from_flat(arch, np.zeros(_n_params(arch)))
 
     def block_backward(g, idx):
         cache = tape["blocks"][idx]
         g = g * cache["active"]
         if use_norm:
-            g, gscale, gshift = _instance_norm_vjp(
+            g, grads.norm_scales[idx][...], grads.norm_shifts[idx][...] = _instance_norm_vjp(
                 g, cache["xhat"], cache["inv"], params.norm_scales[idx]
             )
-            gscales[idx] = gscale
-            gshifts[idx] = gshift
-        gx, gw, gb = _conv_vjp(g, cache["x"], params.weights[idx], pad_mode)
-        gws[idx] = gw
-        gbs[idx] = gb
+        gx, grads.weights[idx][...], grads.biases[idx][...] = _conv_vjp(
+            g, cache["x"], params.weights[idx], pad_mode
+        )
         return gx
 
-    idx = n_convs - 1
-    g, gw, gb = _conv_vjp(
+    idx = len(params.weights) - 1
+    g, grads.weights[idx][...], grads.biases[idx][...] = _conv_vjp(
         gy[None], tape["proj_in"], params.weights[idx], pad_mode
     )
-    gws[idx] = gw
-    gbs[idx] = gb
     idx -= 1
 
     width = lambda lvl: arch.base_channels * 2**lvl
@@ -450,7 +421,6 @@ def net_vjp_array(params: NetParams, tape, gy: np.ndarray):
         g = block_backward(g, idx)
         idx -= 1
 
-    grads = NetParams(arch, gws, gbs, gscales, gshifts)
     return grads, g[0]
 
 

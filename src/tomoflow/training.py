@@ -8,8 +8,10 @@ The checkpoint retained is the state with the lowest mean validation loss;
 epoch 0 (the untrained state) is eligible.  A fresh run is a resume from
 epoch 0: it builds that state's checkpoint (untrained parameters, gamma_init,
 zero Adam moments, its mean validation loss) and continues from it the way
-a resumed run continues from a saved one.  Gradients are clipped at a
-global norm of 1.0 as a divergence guard; every clip is logged.
+a resumed run continues from a saved one.  A resume takes Adam's beta1,
+beta2 and eps, like its learning rates, from the running TrainConfig, not
+from the one the checkpoint records.  Gradients are clipped at a global norm
+of 1.0 as a divergence guard; every clip is logged.
 
 The loss history CSV has one row per epoch:
 epoch, mean_train_loss, mean_val_loss, gamma, adam_t.  The adam_t column is
@@ -28,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .analytic import _WINDOWS
 from .dataio import (
     read_record,
     read_sidecar,
@@ -112,33 +115,31 @@ def _l1_fov_grad(pred: np.ndarray, target: np.ndarray, mask: np.ndarray) -> np.n
 
 @dataclass
 class AdamState:
-    """First/second moment estimates plus the step counter and hyperparameters."""
+    """First/second moment estimates plus the step counter."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def zeros(cls, n: int, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        return cls(np.zeros(n), np.zeros(n), 0, beta1, beta2, eps)
+    def zeros(cls, n: int):
+        return cls(np.zeros(n), np.zeros(n), 0)
 
 
-def adam_step(params_flat: np.ndarray, grads_flat: np.ndarray, state: AdamState, lrs):
-    """One bias-corrected Adam update; lrs may be a scalar or per-entry vector."""
+def adam_step(params_flat: np.ndarray, grads_flat: np.ndarray, state: AdamState, lrs, cfg):
+    """One bias-corrected Adam update with cfg's beta1, beta2 and eps; lrs may
+    be a scalar or per-entry vector."""
     if params_flat.shape != grads_flat.shape:
         raise ValueError(
             f"params/grads length mismatch: {params_flat.shape} vs {grads_flat.shape}"
         )
     t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads_flat
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads_flat**2
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    updated = params_flat - np.asarray(lrs) * m_hat / (np.sqrt(v_hat) + state.eps)
-    return updated, AdamState(m, v, t, state.beta1, state.beta2, state.eps)
+    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grads_flat
+    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * grads_flat**2
+    m_hat = m / (1.0 - cfg.beta1**t)
+    v_hat = v / (1.0 - cfg.beta2**t)
+    updated = params_flat - np.asarray(lrs) * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    return updated, AdamState(m, v, t)
 
 
 @dataclass(frozen=True)
@@ -167,8 +168,13 @@ class TrainConfig:
         if self.batch_size != 1:
             raise ConfigError("batch_size", f"only batch size 1 is supported, got {self.batch_size}")
         for name in ("lr_net", "lr_gamma", "eps"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(name, f"must be > 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(name, f"must be finite and > 0, got {value}")
+        if not (math.isfinite(self.gamma_init) and self.gamma_init >= 0):
+            raise ConfigError("gamma_init", f"must be finite and >= 0, got {self.gamma_init}")
+        if self.init_window not in _WINDOWS:
+            raise ConfigError("init_window", f"must be one of {_WINDOWS}, got {self.init_window!r}")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(name, f"must be in [0, 1), got {getattr(self, name)}")
@@ -249,7 +255,7 @@ def load_checkpoint(path) -> Checkpoint:
                 f"{params.n_params + 1}"
             )
         m, v, latest = record_values(opt_path, payload, (3, n), "<f8")
-        adam = AdamState(m, v, int(t), train_cfg.beta1, train_cfg.beta2, train_cfg.eps)
+        adam = AdamState(m, v, int(t))
     return Checkpoint(
         params=params,
         gamma=gamma,
@@ -354,7 +360,7 @@ def train(
             seed=cfg.seed,
             ode_cfg=ode_cfg,
             train_cfg=cfg,
-            adam=AdamState.zeros(z.size, cfg.beta1, cfg.beta2, cfg.eps),
+            adam=AdamState.zeros(z.size),
             latest_flat=z,
         )
         _record_epoch(history_path, 0, None, resume_from.val_loss, cfg.gamma_init, 0)
@@ -417,7 +423,7 @@ def train(
                         gnorm,
                         cfg.clip_norm,
                     )
-            z, adam = adam_step(z, grads, adam, lr_vec)
+            z, adam = adam_step(z, grads, adam, lr_vec, cfg)
             params = NetParams.from_flat(arch, z[:-1])
             gamma = float(z[-1])
             train_losses.append(loss)

@@ -258,6 +258,7 @@ def test_criterion_08_baseline_sanity(tmp_path):
            f"both iterations monotone, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_09_learned_method_beats_baselines():
     t0 = time.perf_counter()
     grid = VolumeGrid(shape=(64, 64), voxel_size=1.0)

@@ -220,6 +220,24 @@ def test_untrained_node_with_zero_gamma_reproduces_fbp_bytes(fan_scan, tmp_path)
     assert fbp[64:] == node[64:]  # identical payloads behind the two headers
 
 
+def test_untrained_node_runs_on_cone_data(cone_scan, tmp_path):
+    # the untrained network must take the scan's dimension: at gamma 0 the
+    # 3D solve stays at its initial state, the FDK volume
+    assert cli(
+        "reconstruct", "--method", "fdk",
+        "--sinogram", cone_scan / "sinogram.cts",
+        "--grid-shape", "16,16,16", "--out", tmp_path / "fdk",
+    ) == 0
+    assert cli(
+        "reconstruct", "--method", "node", "--untrained", "--gamma", "0.0",
+        "--sinogram", cone_scan / "sinogram.cts",
+        "--grid-shape", "16,16,16", "--out", tmp_path / "node",
+    ) == 0
+    fdk = (tmp_path / "fdk" / "recon_fdk.ctv").read_bytes()
+    node = (tmp_path / "node" / "recon_node.ctv").read_bytes()
+    assert fdk[64:] == node[64:]
+
+
 def test_untrained_node_defaults_gamma(fan_scan, tmp_path):
     assert cli(
         "reconstruct", "--method", "node", "--untrained",
@@ -674,8 +692,16 @@ def test_train_missing_data_file_exits_2(train_dir, tmp_path, capsys):
         ("ode", {"lam": math.nan}),
         ("train_cfg", {"epochs": 1.5}),
         ("train_cfg", {"seed": 0.5}),
+        ("train_cfg", {"gamma_init": -0.5}),
+        ("train_cfg", {"gamma_init": math.nan}),
+        ("train_cfg", {"lr_gamma": math.inf}),
+        ("train_cfg", {"init_window": "shepp-logan"}),
     ],
-    ids=["ode-t_end-inf", "ode-lam-nan", "train-epochs-float", "train-seed-float"],
+    ids=[
+        "ode-t_end-inf", "ode-lam-nan", "train-epochs-float", "train-seed-float",
+        "train-gamma_init-negative", "train-gamma_init-nan", "train-lr_gamma-inf",
+        "train-init_window-unknown",
+    ],
 )
 def test_train_config_value_rejected_before_training_exits_2(
     train_dir, tmp_path, capsys, section, values

@@ -405,6 +405,64 @@ def test_param_file_layout(tmp_path):
     assert np.array_equal(payload, params.flatten())
 
 
+def test_flat_order_is_kernel_bias_scale_shift_per_conv(tmp_path):
+    # encoder 1->2, bottom 2->4, decoder 6->2 (3x3, with norm), proj 2->1
+    # (1x1, no norm); every tensor holds its own run of values
+    arch = NetArch(n_levels=2, base_channels=2, instance_norm=True)
+    start = iter(range(0, 10**6, 1000))
+    tensor = lambda *shape: next(start) + np.arange(np.prod(shape), dtype=float).reshape(shape)
+    w0, b0, s0, h0 = tensor(2, 1, 3, 3), tensor(2), tensor(2), tensor(2)
+    w1, b1, s1, h1 = tensor(4, 2, 3, 3), tensor(4), tensor(4), tensor(4)
+    w2, b2, s2, h2 = tensor(2, 6, 3, 3), tensor(2), tensor(2), tensor(2)
+    w3, b3 = tensor(1, 2, 1, 1), tensor(1)
+    expected = np.concatenate([
+        a.ravel() for a in (w0, b0, s0, h0, w1, b1, s1, h1, w2, b2, s2, h2, w3, b3)
+    ])
+    params = NetParams(arch, [w0, w1, w2, w3], [b0, b1, b2, b3], [s0, s1, s2], [h0, h1, h2])
+    assert params.n_params == expected.size
+    assert np.array_equal(params.flatten(), expected)
+    path = tmp_path / "net.bin"
+    save_net_params(path, params)
+    assert np.array_equal(np.frombuffer(path.read_bytes()[28:], dtype="<f8"), expected)
+    rebuilt = NetParams.from_flat(arch, expected)
+    for name in ("weights", "biases", "norm_scales", "norm_shifts"):
+        for a, b in zip(getattr(rebuilt, name), getattr(params, name), strict=True):
+            assert np.array_equal(a, b)
+
+
+def test_from_flat_and_vjp_results_do_not_share_memory():
+    arch = NetArch(instance_norm=True)
+    vec = unzero_projection(init_params(arch, 2), 3).flatten()
+    params = NetParams.from_flat(arch, vec)
+    vec[:] = 0.0
+    params.weights[0][...] = 7.0
+    assert not vec.any()
+    assert np.array_equal(NetParams.from_flat(arch, vec).flatten(), np.zeros(vec.size))
+
+    x = np.random.default_rng(4).normal(0.0, 1.0, (8, 8))
+    out, tape = net_apply_array(params, x)
+    g1, _ = net_vjp_array(params, tape, np.ones_like(out))
+    g2, _ = net_vjp_array(params, tape, np.ones_like(out))
+    before = g2.flatten()
+    for name in ("weights", "biases", "norm_scales", "norm_shifts"):
+        for g in getattr(g1, name):
+            g[...] = np.nan
+    assert np.array_equal(g2.flatten(), before)
+
+
+def test_rebound_projection_is_seen_by_forward_and_flatten():
+    arch = NetArch(instance_norm=True)
+    params = init_params(arch, 5)
+    proj = np.random.default_rng(6).normal(0.0, 1.0, params.weights[-1].shape)
+    params.weights[-1] = proj
+    flat = params.flatten()
+    assert np.array_equal(flat[-1 - proj.size : -1], proj.ravel())
+    out, tape = net_apply_array(params, np.random.default_rng(7).normal(0.0, 1.0, (8, 8)))
+    expected = np.tensordot(proj[0, :, 0, 0], tape["proj_in"], axes=1)
+    np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-15)
+    assert np.abs(out).max() > 0.0
+
+
 def test_load_rejects_corrupt_files(tmp_path):
     params = init_params(NetArch(), 0)
     path = tmp_path / "net.bin"

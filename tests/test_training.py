@@ -132,7 +132,7 @@ def test_l1_loss_rejects_bad_inputs():
 
 def test_adam_zero_gradient_leaves_parameters_bitwise():
     params = np.array([1.0, -2.0, 0.5])
-    updated, state = adam_step(params, np.zeros(3), AdamState.zeros(3), 0.1)
+    updated, state = adam_step(params, np.zeros(3), AdamState.zeros(3), 0.1, TrainConfig())
     assert np.array_equal(updated, params)
     assert state.t == 1
 
@@ -140,15 +140,15 @@ def test_adam_zero_gradient_leaves_parameters_bitwise():
 def test_adam_first_step_closed_form():
     # bias correction makes the first step lr * g/(|g| + eps) regardless of
     # the gradient magnitude
-    updated, _ = adam_step(np.array([1.0]), np.array([1.0]), AdamState.zeros(1), 0.1)
+    updated, _ = adam_step(np.array([1.0]), np.array([1.0]), AdamState.zeros(1), 0.1, TrainConfig())
     assert updated[0] == 1.0 - 0.1 / (1.0 + 1e-8)
-    big, _ = adam_step(np.array([1.0]), np.array([1e6]), AdamState.zeros(1), 0.1)
+    big, _ = adam_step(np.array([1.0]), np.array([1e6]), AdamState.zeros(1), 0.1, TrainConfig())
     assert big[0] == pytest.approx(0.9, abs=1e-9)
 
 
 def test_adam_moves_against_the_gradient():
     params = np.array([1.0, 1.0])
-    updated, _ = adam_step(params, np.array([2.0, -2.0]), AdamState.zeros(2), 0.1)
+    updated, _ = adam_step(params, np.array([2.0, -2.0]), AdamState.zeros(2), 0.1, TrainConfig())
     assert updated[0] < 1.0 < updated[1]
 
 
@@ -158,6 +158,7 @@ def test_adam_per_entry_learning_rates():
         np.array([3.0, 3.0]),
         AdamState.zeros(2),
         np.array([0.1, 0.2]),
+        TrainConfig(),
     )
     d1, d2 = 1.0 - updated[0], 1.0 - updated[1]
     assert d2 == pytest.approx(2.0 * d1, rel=1e-12)
@@ -165,7 +166,7 @@ def test_adam_per_entry_learning_rates():
 
 def test_adam_rejects_length_mismatch():
     with pytest.raises(ValueError):
-        adam_step(np.zeros(3), np.zeros(4), AdamState.zeros(3), 0.1)
+        adam_step(np.zeros(3), np.zeros(4), AdamState.zeros(3), 0.1, TrainConfig())
 
 
 # --- training loop ---
@@ -491,8 +492,12 @@ def test_saving_without_optimizer_state_removes_a_stale_one(tmp_path):
         ("ode", {"t_end": "one"}),
         ("ode", {"t_end": math.inf}),
         ("ode", {"step_size": 0.05, "mu": math.nan}),
+        ("train", {"gamma_init": -0.5}),
     ],
-    ids=["ode-list", "train-string", "gamma-list", "ode-value-string", "ode-t_end-inf", "ode-mu-nan"],
+    ids=[
+        "ode-list", "train-string", "gamma-list", "ode-value-string", "ode-t_end-inf",
+        "ode-mu-nan", "train-gamma_init-negative",
+    ],
 )
 def test_checkpoint_sidecar_field_of_wrong_type_is_rejected(tmp_path, field, value):
     path = tmp_path / "model.bin"
@@ -570,6 +575,25 @@ def test_fresh_run_equals_a_resume_from_a_hand_built_epoch_zero(tmp_path):
     assert resumed_hist.read_text().splitlines() == [fresh_rows[0]] + fresh_rows[2:]
 
 
+def test_resume_uses_the_running_configs_adam_settings(tmp_path):
+    # the saved run used beta1 0.9; a resume that records beta1 0.5 must step with it
+    grid, geom, train_set, val_set = tiny_sets()
+    arch = NetArch(n_levels=1, base_channels=2)
+    cfg = TrainConfig(epochs=1, seed=2, lr_net=1e-3)
+    path = tmp_path / "model.bin"
+    save_checkpoint(train(train_set, val_set, arch, OdeConfig(), cfg), path)
+
+    same = train(train_set, val_set, arch, OdeConfig(), cfg, resume_from=load_checkpoint(path))
+    changed_cfg = TrainConfig(epochs=1, seed=2, lr_net=1e-3, beta1=0.5)
+    changed = train(
+        train_set, val_set, arch, OdeConfig(), changed_cfg, resume_from=load_checkpoint(path)
+    )
+    assert changed.train_cfg.beta1 == 0.5
+    assert same.adam.t == changed.adam.t == 4
+    assert not np.array_equal(same.latest_flat, changed.latest_flat)
+    assert not np.array_equal(same.adam.m, changed.adam.m)
+
+
 def test_datasets_are_validated():
     grid, geom, train_set, val_set = tiny_sets()
     arch = NetArch(n_levels=1, base_channels=2)
@@ -598,6 +622,13 @@ def test_datasets_are_validated():
         ({"epochs": True}, "epochs"),
         ({"seed": 0.5}, "seed"),
         ({"seed": False}, "seed"),
+        ({"gamma_init": -0.5}, "gamma_init"),
+        ({"gamma_init": math.nan}, "gamma_init"),
+        ({"gamma_init": math.inf}, "gamma_init"),
+        ({"lr_net": math.inf}, "lr_net"),
+        ({"lr_gamma": math.inf}, "lr_gamma"),
+        ({"eps": math.inf}, "eps"),
+        ({"init_window": "shepp-logan"}, "init_window"),
     ],
 )
 def test_train_config_rejects_bad_values(kwargs, field):
