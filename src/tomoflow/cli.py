@@ -14,6 +14,7 @@ error, 4 numerical divergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -44,7 +45,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .analytic import fbp_fan, fdk_cone
-from .geometry import FanGeometry, VolumeGrid, geometry_from_dict, geometry_to_dict
+from .geometry import VolumeGrid, geometry_from_dict, geometry_to_dict
 from .metrics import compute_metrics
 from .network import NetArch, init_params
 from .ode import OdeConfig, reconstruct_node
@@ -137,8 +138,7 @@ def cmd_simulate(args) -> int:
     truth = make_phantom(spec)
     if truth.values.ndim != len(geom.detector_shape) + 1:
         raise ShapeMismatchError(
-            f"{spec.kind} is {truth.values.ndim}D but the geometry is "
-            f"{'fan' if isinstance(geom, FanGeometry) else 'cone'} beam"
+            f"{spec.kind} is {truth.values.ndim}D but the geometry is {geom.kind} beam"
         )
     p = simulate_measurement(truth, geom, noise, seed=seed)
 
@@ -149,19 +149,13 @@ def cmd_simulate(args) -> int:
         {
             "command": "simulate",
             "version": __version__,
-            "phantom": {
-                "kind": spec.kind,
-                "size": list(spec.size),
-                "seed": spec.seed,
-                "value_range": list(spec.value_range),
-                "voxel_size": spec.voxel_size,
-            },
+            "phantom": dataclasses.asdict(spec),
             "geometry": geometry_to_dict(geom),
             "angular_increment_deg": math.degrees(
                 geom.angular_range[1] - geom.angular_range[0]
             )
             / geom.n_angles,
-            "noise": {"kind": noise.kind, "sigma": noise.sigma, "i0": noise.i0},
+            "noise": dataclasses.asdict(noise),
             "seed": seed,
             "outputs": {"phantom": "phantom.ctv", "sinogram": "sinogram.cts"},
         },

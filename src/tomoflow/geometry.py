@@ -23,7 +23,7 @@ Conventions used throughout the toolkit:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -88,6 +88,8 @@ class VolumeGrid:
         if origin is None:
             origin = (0.0,) * len(shape)
         origin = tuple(float(c) for c in origin)
+        if not all(math.isfinite(c) for c in origin):
+            raise InvalidGeometryError(f"origin must be finite, got {origin}")
         if len(origin) != len(shape):
             raise InvalidGeometryError(
                 f"origin has {len(origin)} coordinates for a {len(shape)}D grid"
@@ -114,9 +116,11 @@ class _Scan:
 
     Subclasses are frozen dataclasses with the fields n_angles, the detector
     counts named in _detector_fields, source_distance, detector_distance,
-    detector_pixel_size and angular_range.
+    detector_pixel_size and angular_range, and a class attribute kind that
+    names them in files and messages.
     """
 
+    kind: str
     _detector_fields: tuple[str, ...]
     _floats = ("source_distance", "detector_distance", "detector_pixel_size")
 
@@ -136,7 +140,10 @@ class _Scan:
                 f"detector_pixel_size must be > 0, got {self.detector_pixel_size}"
             )
         for name in self._floats:
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise InvalidGeometryError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "angular_range", _check_range(self.angular_range))
 
     @property
@@ -178,9 +185,10 @@ class FanGeometry(_Scan):
     n_detectors: int
     source_distance: float
     detector_distance: float
-    detector_pixel_size: float = 1.0
     angular_range: tuple[float, float] = (0.0, FULL_TURN)
+    detector_pixel_size: float = 1.0
 
+    kind = "fan"
     _detector_fields = ("n_detectors",)
 
 
@@ -193,10 +201,11 @@ class ConeGeometry(_Scan):
     detector_cols: int
     source_distance: float
     detector_distance: float
-    detector_pixel_size: float = 1.0
+    detector_pixel_size: float
     angular_range: tuple[float, float] = (0.0, FULL_TURN)
     trajectory_height: float = 0.0
 
+    kind = "cone"
     _detector_fields = ("detector_rows", "detector_cols")
     _floats = _Scan._floats + ("trajectory_height",)
 
@@ -218,47 +227,10 @@ class ConeGeometry(_Scan):
 
 Geometry = FanGeometry | ConeGeometry
 
-
-def make_fan_geometry(
-    n_angles: int,
-    n_detectors: int,
-    source_distance: float,
-    detector_distance: float,
-    angular_range: tuple[float, float] = (0.0, FULL_TURN),
-    detector_pixel_size: float = 1.0,
-) -> FanGeometry:
-    """Build a fan-beam geometry with uniformly spaced angles."""
-    return FanGeometry(
-        n_angles=n_angles,
-        n_detectors=n_detectors,
-        source_distance=source_distance,
-        detector_distance=detector_distance,
-        detector_pixel_size=detector_pixel_size,
-        angular_range=angular_range,
-    )
-
-
-def make_cone_geometry(
-    n_angles: int,
-    detector_rows: int,
-    detector_cols: int,
-    source_distance: float,
-    detector_distance: float,
-    detector_pixel_size: float,
-    angular_range: tuple[float, float] = (0.0, FULL_TURN),
-    trajectory_height: float = 0.0,
-) -> ConeGeometry:
-    """Build a circular cone-beam geometry with uniformly spaced angles."""
-    return ConeGeometry(
-        n_angles=n_angles,
-        detector_rows=detector_rows,
-        detector_cols=detector_cols,
-        source_distance=source_distance,
-        detector_distance=detector_distance,
-        detector_pixel_size=detector_pixel_size,
-        angular_range=angular_range,
-        trajectory_height=trajectory_height,
-    )
+# the scan classes are their own builders, with uniformly spaced angles
+make_fan_geometry = FanGeometry
+make_cone_geometry = ConeGeometry
+_SCANS = {cls.kind: cls for cls in (FanGeometry, ConeGeometry)}
 
 
 def ray_bundle(geom: Geometry) -> tuple[np.ndarray, np.ndarray]:
@@ -301,53 +273,25 @@ def _lift_to_rows(plane: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def geometry_to_dict(geom: Geometry) -> dict:
-    """JSON-ready description; angles in degrees."""
-    start, end = geom.angular_range
-    common = {
-        "n_angles": geom.n_angles,
-        "angular_range": [math.degrees(start), math.degrees(end)],
-        "source_distance": geom.source_distance,
-        "detector_distance": geom.detector_distance,
-        "detector_pixel_size": geom.detector_pixel_size,
-    }
-    if isinstance(geom, FanGeometry):
-        return {"kind": "fan", "n_detectors": geom.n_detectors, **common}
-    return {
-        "kind": "cone",
-        "detector_rows": geom.detector_rows,
-        "detector_cols": geom.detector_cols,
-        "trajectory_height": geom.trajectory_height,
-        **common,
-    }
+    """JSON-ready description: the kind and every field, angles in degrees."""
+    doc = {"kind": geom.kind, **asdict(geom)}
+    doc["angular_range"] = [math.degrees(a) for a in geom.angular_range]
+    return doc
 
 
 def geometry_from_dict(doc: dict) -> Geometry:
-    """Inverse of geometry_to_dict."""
+    """Inverse of geometry_to_dict; every field but a cone's trajectory_height is required."""
     try:
-        kind = doc["kind"]
-        rng = doc["angular_range"]
-        angular_range = (math.radians(rng[0]), math.radians(rng[1]))
-        if kind == "fan":
-            return FanGeometry(
-                n_angles=doc["n_angles"],
-                n_detectors=doc["n_detectors"],
-                source_distance=doc["source_distance"],
-                detector_distance=doc["detector_distance"],
-                detector_pixel_size=doc["detector_pixel_size"],
-                angular_range=angular_range,
-            )
-        if kind == "cone":
-            return ConeGeometry(
-                n_angles=doc["n_angles"],
-                detector_rows=doc["detector_rows"],
-                detector_cols=doc["detector_cols"],
-                source_distance=doc["source_distance"],
-                detector_distance=doc["detector_distance"],
-                detector_pixel_size=doc["detector_pixel_size"],
-                angular_range=angular_range,
-                trajectory_height=doc.get("trajectory_height", 0.0),
-            )
+        cls = _SCANS.get(doc["kind"])
+        if cls is None:
+            raise InvalidGeometryError(f"unknown geometry kind {doc['kind']!r}")
+        values = {
+            f.name: doc[f.name]
+            for f in fields(cls)
+            if f.name != "trajectory_height" or f.name in doc
+        }
     except KeyError as exc:
         raise InvalidGeometryError(f"geometry document missing field {exc}") from exc
-    raise InvalidGeometryError(f"unknown geometry kind {doc.get('kind')!r}")
-
+    rng = values["angular_range"]
+    values["angular_range"] = (math.radians(rng[0]), math.radians(rng[1]))
+    return cls(**values)

@@ -344,13 +344,12 @@ def reconstruct_node(
     gamma: float,
     cfg: OdeConfig,
     window: str = "ram-lak",
-    probe=None,
     log_path=None,
 ) -> Volume:
     """Full learned reconstruction: analytic initializer, then the ODE solve."""
     x0 = initial_volume(p, grid, window)
     dyn = NodeDynamics(p, grid, params, gamma, cfg)
-    x_T, log = rk4_solve(dyn, x0, cfg, probe=probe, capture=log_path is not None)
+    x_T, log = rk4_solve(dyn, x0, cfg, capture=log_path is not None)
     if log_path is not None:
         log.to_csv(log_path)
     return x_T

@@ -58,10 +58,10 @@ class PhantomSpec:
             raise ValueError(f"kind {self.kind!r} needs a {ndim}-d positive size, got {self.size}")
         object.__setattr__(self, "size", size)
         lo, hi = self.value_range
-        if not lo < hi:
-            raise ValueError(f"value_range must be increasing, got {self.value_range}")
-        if not self.voxel_size > 0:
-            raise ValueError(f"voxel_size must be > 0, got {self.voxel_size}")
+        if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"value_range must be finite and increasing, got {self.value_range}")
+        if not (self.voxel_size > 0 and math.isfinite(self.voxel_size)):
+            raise ValueError(f"voxel_size must be finite and > 0, got {self.voxel_size}")
 
 
 def _unit_coords(grid: VolumeGrid):
@@ -128,7 +128,7 @@ def _nested_shells(grid: VolumeGrid, rng, lo: float, hi: float) -> np.ndarray:
     return out
 
 
-def _ellipsoid_mask(xs, ys, zs, center, semi, rng):
+def _ellipsoid_mask(xs, ys, zs, center, semi):
     cx, cy, cz = center
     ax, ay, az = semi
     return ((xs - cx) / ax) ** 2 + ((ys - cy) / ay) ** 2 + ((zs - cz) / az) ** 2 < 1.0
@@ -140,15 +140,15 @@ def _walnut_like(grid: VolumeGrid, rng, lo: float, hi: float) -> np.ndarray:
     out = np.full(grid.shape, lo)
     # hard hull with a softer interior
     semi = rng.uniform(0.7, 0.88, size=3)
-    outer = _ellipsoid_mask(xs, ys, zs, (0.0, 0.0, 0.0), semi, rng)
-    inner = _ellipsoid_mask(xs, ys, zs, (0.0, 0.0, 0.0), semi * 0.86, rng)
+    outer = _ellipsoid_mask(xs, ys, zs, (0.0, 0.0, 0.0), semi)
+    inner = _ellipsoid_mask(xs, ys, zs, (0.0, 0.0, 0.0), semi * 0.86)
     out[outer] = lo + span * rng.uniform(0.85, 1.0)
     out[inner] = lo + span * rng.uniform(0.25, 0.45)
     # interior lobes
     for _ in range(int(rng.integers(4, 9))):
         center = rng.uniform(-0.4, 0.4, size=3)
         lobe_semi = rng.uniform(0.08, 0.3, size=3)
-        lobe = inner & _ellipsoid_mask(xs, ys, zs, center, lobe_semi, rng)
+        lobe = inner & _ellipsoid_mask(xs, ys, zs, center, lobe_semi)
         out[lobe] = lo + span * rng.uniform(0.4, 0.9)
     # air gap slicing through the interior
     normal = rng.normal(size=3)
@@ -187,10 +187,10 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}; expected one of {NOISE_KINDS}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        if not self.i0 > 0:
-            raise ValueError(f"i0 must be > 0, got {self.i0}")
+        if not (self.sigma >= 0 and math.isfinite(self.sigma)):
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        if not (self.i0 > 0 and math.isfinite(self.i0)):
+            raise ValueError(f"i0 must be finite and > 0, got {self.i0}")
 
 
 def simulate_measurement(x: Volume, geom, noise: NoiseModel, seed: int = 0) -> Sinogram:

@@ -151,6 +151,35 @@ def test_simulate_rejects_2d_phantom_with_cone_geometry(tmp_path, capsys):
     assert "cone" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "base, section, field, value",
+    [
+        (FAN_SCAN_CONFIG, "geometry", "detector_distance", math.nan),
+        (FAN_SCAN_CONFIG, "geometry", "source_distance", math.inf),
+        (FAN_SCAN_CONFIG, "geometry", "detector_pixel_size", math.inf),
+        (CONE_SCAN_CONFIG, "geometry", "trajectory_height", math.nan),
+        (FAN_SCAN_CONFIG, "noise", "sigma", math.nan),
+        (FAN_SCAN_CONFIG, "noise", "sigma", math.inf),
+        (FAN_SCAN_CONFIG, "noise", "i0", math.inf),
+        (FAN_SCAN_CONFIG, "phantom", "value_range", [0.0, math.inf]),
+        (FAN_SCAN_CONFIG, "phantom", "voxel_size", math.inf),
+    ],
+    ids=[
+        "fan-detector_distance-nan", "fan-source_distance-inf", "fan-detector_pixel_size-inf",
+        "cone-trajectory_height-nan", "sigma-nan", "sigma-inf", "i0-inf",
+        "value_range-inf", "voxel_size-inf",
+    ],
+)
+def test_simulate_rejects_non_finite_config_values(tmp_path, capsys, base, section, field, value):
+    # json writes NaN and Infinity, which json.loads reads back as floats
+    doc = dict(base, **{section: dict(base.get(section, {}), **{field: value})})
+    cfg = write_config(tmp_path / "sim.json", doc)
+    assert cli("simulate", "--config", cfg, "--out", tmp_path / "scan") == 2
+    err = capsys.readouterr().err
+    assert section in err and field in err
+    assert not (tmp_path / "scan" / "sinogram.cts").exists()
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert cli("simulate", "--config", tmp_path / "nope.json", "--out", tmp_path / "o") == 2
     assert "not found" in capsys.readouterr().err
@@ -364,6 +393,22 @@ def test_sinogram_sidecar_geometry_of_wrong_type_exits_3(fan_scan, tmp_path, cap
     )
     assert code == 3
     assert "sinogram.cts.json" in capsys.readouterr().err
+
+
+def test_sinogram_sidecar_non_finite_geometry_exits_3(fan_scan, tmp_path, capsys):
+    sino = tmp_path / "sinogram.cts"
+    sino.write_bytes((fan_scan / "sinogram.cts").read_bytes())
+    doc = json.loads((fan_scan / "sinogram.cts.json").read_text())
+    doc["geometry"]["detector_distance"] = math.nan
+    (tmp_path / "sinogram.cts.json").write_text(json.dumps(doc))
+    code = cli(
+        "reconstruct", "--method", "fbp", "--sinogram", sino,
+        "--grid-shape", "32,32", "--out", tmp_path / "out",
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "sinogram.cts.json" in err and "detector_distance" in err
+    assert not (tmp_path / "out" / "recon_fbp.ctv").exists()
 
 
 def saved_checkpoint(train_dir, tmp_path):

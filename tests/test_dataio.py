@@ -303,6 +303,47 @@ def test_sinogram_sidecar_dims_must_match_the_header(tmp_path):
         load_sinogram(path)
 
 
+def test_sinogram_sidecar_text(tmp_path):
+    # the sidecar's bytes, pinned by a hand-written document: keys sorted,
+    # angles in degrees, and a cone's trajectory_height beside its scan
+    path = tmp_path / "s.cts"
+    geom = make_cone_geometry(3, 2, 4, 50.0, 30.0, 2.0, (0.0, math.pi / 2.0), 0.5)
+    save_sinogram(path, Sinogram(geom, np.zeros((3, 2, 4))))
+    expected = """{
+  "format": "CTS1",
+  "geometry": {
+    "angular_range": [
+      0.0,
+      90.0
+    ],
+    "detector_cols": 4,
+    "detector_distance": 30.0,
+    "detector_pixel_size": 2.0,
+    "detector_rows": 2,
+    "kind": "cone",
+    "n_angles": 3,
+    "source_distance": 50.0,
+    "trajectory_height": 0.5
+  }
+}
+"""
+    assert (tmp_path / "s.cts.json").read_text() == expected
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("detector_distance", float("nan")), ("source_distance", float("inf"))],
+)
+def test_sinogram_sidecar_non_finite_value_is_a_data_format_error(tmp_path, field, value):
+    path, _ = saved_sinogram(tmp_path)
+    sidecar = tmp_path / "s.cts.json"
+    doc = json.loads(sidecar.read_text())
+    doc["geometry"][field] = value
+    sidecar.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match=field):
+        load_sinogram(path)
+
+
 # --- image export ---
 
 

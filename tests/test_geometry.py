@@ -223,6 +223,9 @@ def test_grid_validation():
         VolumeGrid((4,), 1.0)
     with pytest.raises(InvalidGeometryError):
         VolumeGrid((4, 4), 1.0, origin=(0.0, 0.0, 0.0))
+    for origin in [(math.nan, 0.0), (0.0, 0.0, -math.inf)]:
+        with pytest.raises(InvalidGeometryError, match="origin"):
+            VolumeGrid((4,) * len(origin), 1.0, origin=origin)
 
 
 def test_dict_round_trip_fan():
@@ -263,3 +266,81 @@ def test_geometry_json_round_trip_partial_arc():
     back = geometry_from_dict(json.loads(json.dumps(geometry_to_dict(geom))))
     assert back.n_angles == 7
     assert np.allclose(back.angles, geom.angles, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "build, field, value",
+    [
+        (make_fan_geometry, "detector_distance", math.nan),
+        (make_fan_geometry, "source_distance", math.inf),
+        (make_fan_geometry, "detector_pixel_size", math.inf),
+        (make_cone_geometry, "detector_distance", -math.inf),
+        (make_cone_geometry, "detector_pixel_size", math.nan),
+        (make_cone_geometry, "trajectory_height", math.nan),
+        (make_cone_geometry, "trajectory_height", -math.inf),
+    ],
+)
+def test_scans_reject_non_finite_values(build, field, value):
+    detector = (
+        {"n_detectors": 3} if build is make_fan_geometry
+        else {"detector_rows": 3, "detector_cols": 3}
+    )
+    args = dict(n_angles=4, source_distance=100.0, detector_distance=50.0,
+                detector_pixel_size=1.0, **detector)
+    args[field] = value
+    with pytest.raises(InvalidGeometryError, match=field):
+        build(**args)
+
+
+def test_fan_dict_schema():
+    geom = make_fan_geometry(7, 5, 110.0, 40.0, angular_range=(0.0, math.pi),
+                             detector_pixel_size=1.5)
+    assert geometry_to_dict(geom) == {
+        "kind": "fan",
+        "n_angles": 7,
+        "n_detectors": 5,
+        "source_distance": 110.0,
+        "detector_distance": 40.0,
+        "detector_pixel_size": 1.5,
+        "angular_range": [0.0, 180.0],
+    }
+
+
+def test_cone_dict_schema():
+    geom = make_cone_geometry(12, 6, 8, 90.0, 60.0, 1.25, trajectory_height=2.0)
+    assert geometry_to_dict(geom) == {
+        "kind": "cone",
+        "n_angles": 12,
+        "detector_rows": 6,
+        "detector_cols": 8,
+        "source_distance": 90.0,
+        "detector_distance": 60.0,
+        "detector_pixel_size": 1.25,
+        "angular_range": [0.0, 360.0],
+        "trajectory_height": 2.0,
+    }
+
+
+def test_cone_dict_without_trajectory_height_is_at_zero():
+    doc = geometry_to_dict(make_cone_geometry(4, 2, 3, 90.0, 60.0, 1.25))
+    del doc["trajectory_height"]
+    assert geometry_from_dict(doc).trajectory_height == 0.0
+
+
+def test_builders_bind_positional_arguments():
+    fan = make_fan_geometry(5, 3, 30.0, 10.0, (0.2, 1.8), 2.0)
+    assert (fan.n_angles, fan.n_detectors) == (5, 3)
+    assert (fan.source_distance, fan.detector_distance) == (30.0, 10.0)
+    assert fan.angular_range == (0.2, 1.8)
+    assert fan.detector_pixel_size == 2.0
+    cone = make_cone_geometry(5, 2, 3, 30.0, 10.0, 1.5, (0.2, 1.8), 0.75)
+    assert (cone.n_angles, cone.detector_rows, cone.detector_cols) == (5, 2, 3)
+    assert (cone.source_distance, cone.detector_distance) == (30.0, 10.0)
+    assert cone.detector_pixel_size == 1.5
+    assert cone.angular_range == (0.2, 1.8)
+    assert cone.trajectory_height == 0.75
+
+
+def test_cone_builder_needs_a_pixel_size():
+    with pytest.raises(TypeError):
+        make_cone_geometry(5, 2, 3, 30.0, 10.0)

@@ -126,6 +126,10 @@ def test_phantom_grid_uses_requested_voxel_size():
         {"kind": "disk_set", "size": (0, 8)},
         {"kind": "disk_set", "size": (8, 8), "value_range": (0.06, 0.0)},
         {"kind": "disk_set", "size": (8, 8), "voxel_size": 0.0},
+        {"kind": "disk_set", "size": (8, 8), "value_range": (0.0, math.inf)},
+        {"kind": "disk_set", "size": (8, 8), "value_range": (math.nan, 0.06)},
+        {"kind": "disk_set", "size": (8, 8), "voxel_size": math.inf},
+        {"kind": "disk_set", "size": (8, 8), "voxel_size": math.nan},
     ],
 )
 def test_phantom_spec_rejects_bad_values(kwargs):
@@ -184,6 +188,10 @@ def test_poisson_noise_vanishes_at_high_flux():
         {"kind": "gaussian", "sigma": -0.1},
         {"kind": "poisson", "i0": 0.0},
         {"kind": "poisson", "i0": -10.0},
+        {"kind": "gaussian", "sigma": math.nan},
+        {"kind": "gaussian", "sigma": math.inf},
+        {"kind": "poisson", "i0": math.inf},
+        {"kind": "poisson", "i0": math.nan},
     ],
 )
 def test_noise_model_rejects_bad_values(kwargs):
