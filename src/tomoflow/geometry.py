@@ -280,11 +280,17 @@ def geometry_to_dict(geom: Geometry) -> dict:
 
 
 def geometry_from_dict(doc: dict) -> Geometry:
-    """Inverse of geometry_to_dict; every field but a cone's trajectory_height is required."""
+    """Inverse of geometry_to_dict; every field but a cone's trajectory_height
+    is required, and a key that is neither kind nor a field is an error."""
     try:
         cls = _SCANS.get(doc["kind"])
         if cls is None:
             raise InvalidGeometryError(f"unknown geometry kind {doc['kind']!r}")
+        unknown = sorted(set(doc) - {"kind"} - {f.name for f in fields(cls)})
+        if unknown:
+            raise InvalidGeometryError(
+                f"{cls.kind} geometry has no field {', '.join(map(repr, unknown))}"
+            )
         values = {
             f.name: doc[f.name]
             for f in fields(cls)

@@ -6,7 +6,10 @@ nearest-neighbour 2x upsampling, encoder-decoder skip connections by channel
 concatenation, and a final 1x1 projection.  The projection layer initializes
 to exact zeros so an untrained network is the zero map.
 
-Everything is plain numpy.  A convolution is one im2col GEMM per slab of
+Everything is plain numpy, in the dtype of the parameters: float64 for
+training, the VJPs and the parameter file, and float32 for the forward
+passes of an inference solve, which ode.reconstruct_node runs on a float32
+copy (NetParams.astype).  A convolution is one im2col GEMM per slab of
 rows along the first spatial axis.  The slab's patch matrix gathers the
 shifted views of the padded input over every kernel axis but the last, with
 the padded last axis kept whole, so it has c_in * k^(d-1) rows.  The last
@@ -135,6 +138,22 @@ class NetParams:
     def n_params(self) -> int:
         return _n_params(self.arch)
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype net_apply_array computes in."""
+        return self.weights[0].dtype
+
+    def astype(self, dtype) -> "NetParams":
+        """A copy with every tensor cast to dtype."""
+        cast = lambda tensors: None if tensors is None else [t.astype(dtype) for t in tensors]
+        return NetParams(
+            self.arch,
+            cast(self.weights),
+            cast(self.biases),
+            cast(self.norm_scales),
+            cast(self.norm_shifts),
+        )
+
     def flatten(self) -> np.ndarray:
         """Single parameter vector; inverse of from_flat.  Reads the lists as
         they are now, so a rebound entry is seen."""
@@ -194,7 +213,7 @@ def _pad_input(x: np.ndarray, k: tuple[int, ...], pad_mode: str) -> np.ndarray:
     if pad_mode == "periodic":
         return np.pad(x, [(0, 0)] + [(p, p) for p in pads], mode="wrap")
     spatial = x.shape[1:]
-    xp = np.zeros((x.shape[0],) + tuple(s + 2 * p for s, p in zip(spatial, pads)))
+    xp = np.zeros((x.shape[0],) + tuple(s + 2 * p for s, p in zip(spatial, pads)), x.dtype)
     xp[(slice(None),) + tuple(slice(p, p + s) for s, p in zip(spatial, pads))] = x
     return xp
 
@@ -207,7 +226,7 @@ def _row_slabs(x: np.ndarray, w: np.ndarray) -> list[tuple[int, int]]:
     # one column per output row, inner output site and padded last-axis site
     row_cols = int(np.prod(spatial[1:-1])) * (spatial[-1] + k[-1] - 1)
     rows_per_col = c_in * int(np.prod(k[:-1])) + k[-1] * c_out
-    step = max(1, _PATCH_BYTES // (rows_per_col * row_cols * 8))  # float64
+    step = max(1, _PATCH_BYTES // (rows_per_col * row_cols * x.itemsize))
     n_rows = spatial[0]
     return [(r0, min(r0 + step, n_rows)) for r0 in range(0, n_rows, step)]
 
@@ -236,7 +255,7 @@ def _conv_forward(x, w, b, pad_mode):
     # correlation over the other axes with w[..., a], and y sums z[a]
     # shifted left by a along the last axis
     ws = np.moveaxis(w, -1, 0).reshape(k[-1] * c_out, -1)
-    y = np.empty((c_out,) + x.shape[1:])
+    y = np.empty((c_out,) + x.shape[1:], x.dtype)
     for r0, r1 in _row_slabs(x, w):
         z = (ws @ _patch_matrix(xp, k, r0, r1)).reshape(
             (k[-1], c_out, r1 - r0) + x.shape[2:-1] + xp.shape[-1:]
@@ -331,12 +350,13 @@ def _check_input_shape(arch: NetArch, shape: tuple[int, ...]):
 def net_apply_array(params: NetParams, x: np.ndarray, pad_mode: str = "zeros"):
     """Forward pass on a bare spatial array; returns (output, tape).
 
-    The tape holds every intermediate needed by net_vjp_array.
+    Computes in params.dtype: x is cast to it, and the output and tape are
+    in it.  The tape holds every intermediate needed by net_vjp_array.
     """
     arch = params.arch
     if pad_mode not in _PAD_MODES:
         raise ValueError(f"pad_mode must be 'zeros' or 'periodic', got {pad_mode!r}")
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=params.dtype)
     _check_input_shape(arch, x.shape)
     use_norm = arch.instance_norm
     levels = arch.n_levels

@@ -24,6 +24,15 @@ true initializer.
 
 The dynamics is autonomous; the solver still passes t to f so the test
 harness can integrate time-dependent toy problems.
+
+Precision: the state, the projector and the RK4 arithmetic are float64.
+NodeDynamics runs the network in the dtype of the parameters it is given,
+and the network output joins the float64 rate in the sum above.  Training
+and the adjoint pass give it float64 parameters; reconstruct_node gives it
+one float32 copy per solve, which makes the network forward, most of a 3D
+solve, cheaper (BENCH_17.json has the numbers).  A state that leaves the float32 range, or drives
+the network's activations out of it, then makes the network output
+non-finite, so such a solve raises DivergenceError.
 """
 
 from __future__ import annotations
@@ -346,9 +355,13 @@ def reconstruct_node(
     window: str = "ram-lak",
     log_path=None,
 ) -> Volume:
-    """Full learned reconstruction: analytic initializer, then the ODE solve."""
+    """Full learned reconstruction: analytic initializer, then the ODE solve.
+
+    The solve runs the network on a float32 copy of params; the state, the
+    projector and the RK4 arithmetic stay float64.
+    """
     x0 = initial_volume(p, grid, window)
-    dyn = NodeDynamics(p, grid, params, gamma, cfg)
+    dyn = NodeDynamics(p, grid, params.astype(np.float32), gamma, cfg)
     x_T, log = rk4_solve(dyn, x0, cfg, capture=log_path is not None)
     if log_path is not None:
         log.to_csv(log_path)

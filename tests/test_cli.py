@@ -180,6 +180,21 @@ def test_simulate_rejects_non_finite_config_values(tmp_path, capsys, base, secti
     assert not (tmp_path / "scan" / "sinogram.cts").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value", [("detector_pixelsize", 1.5), ("trajectory_height", 0.5)]
+)
+def test_simulate_rejects_unknown_geometry_key(tmp_path, capsys, key, value):
+    # before, the key was dropped: the scan ran with 1.0 mm pixels and exit 0
+    geometry = dict(FAN_SCAN_CONFIG["geometry"], **{key: value})
+    if key == "detector_pixelsize":
+        del geometry["detector_pixel_size"]
+    cfg = write_config(tmp_path / "sim.json", dict(FAN_SCAN_CONFIG, geometry=geometry))
+    assert cli("simulate", "--config", cfg, "--out", tmp_path / "scan") == 2
+    err = capsys.readouterr().err
+    assert "geometry" in err and key in err
+    assert not (tmp_path / "scan" / "sinogram.cts").exists()
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert cli("simulate", "--config", tmp_path / "nope.json", "--out", tmp_path / "o") == 2
     assert "not found" in capsys.readouterr().err
@@ -589,6 +604,20 @@ def test_node_divergence_exits_4(fan_scan, tmp_path, capsys):
     )
     assert code == 4
     assert "ODE step" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_node_state_beyond_float32_range_exits_4(fan_scan, tmp_path, capsys):
+    # the state passes float32's range within the 20 steps; a float64 network
+    # let the solve finish, and the volume file held infinities (exit 0)
+    code = cli(
+        "reconstruct", "--method", "node", "--untrained", "--gamma", "40",
+        "--sinogram", fan_scan / "sinogram.cts",
+        "--grid-shape", "32,32", "--out", tmp_path,
+    )
+    assert code == 4
+    assert "ODE step" in capsys.readouterr().err
+    assert not (tmp_path / "recon_node.ctv").exists()
 
 
 # --- eval ---

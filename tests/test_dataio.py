@@ -344,6 +344,16 @@ def test_sinogram_sidecar_non_finite_value_is_a_data_format_error(tmp_path, fiel
         load_sinogram(path)
 
 
+def test_sinogram_sidecar_unknown_geometry_key_is_a_data_format_error(tmp_path):
+    path, _ = saved_sinogram(tmp_path)
+    sidecar = tmp_path / "s.cts.json"
+    doc = json.loads(sidecar.read_text())
+    doc["geometry"]["detector_pixelsize"] = 2.0
+    sidecar.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match="detector_pixelsize"):
+        load_sinogram(path)
+
+
 # --- image export ---
 
 

@@ -260,6 +260,20 @@ def test_dict_missing_field():
         geometry_from_dict({"kind": "spiral"})
 
 
+@pytest.mark.parametrize(
+    "geom, key",
+    [
+        (make_fan_geometry(4, 3, 100.0, 50.0), "detector_pixelsize"),
+        (make_fan_geometry(4, 3, 100.0, 50.0), "trajectory_height"),
+        (make_cone_geometry(4, 2, 3, 90.0, 60.0, 1.25), "n_detectors"),
+    ],
+)
+def test_dict_unknown_key(geom, key):
+    # a misspelled or foreign key would otherwise be dropped without a word
+    doc = dict(geometry_to_dict(geom), **{key: 1.5})
+    with pytest.raises(InvalidGeometryError, match=key):
+        geometry_from_dict(doc)
+
 
 def test_geometry_json_round_trip_partial_arc():
     geom = make_fan_geometry(7, 5, 110.0, 40.0, angular_range=(0.0, math.pi))

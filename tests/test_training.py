@@ -38,7 +38,7 @@ from tomoflow import (
     simulate_measurement,
     train,
 )
-from tomoflow import training
+from tomoflow import ode, training
 from tomoflow.training import AdamState, Checkpoint, adam_step
 
 
@@ -231,6 +231,30 @@ def test_training_is_bitwise_deterministic(tmp_path):
     assert ck1.gamma == ck2.gamma
     assert np.array_equal(ck1.latest_flat, ck2.latest_flat)
     assert np.array_equal(ck1.adam.m, ck2.adam.m)
+
+
+def test_training_runs_the_network_in_float64(monkeypatch):
+    # inference solves use a float32 copy of the parameters; training,
+    # its validation solves and the adjoint pass must not
+    seen = []
+    apply, vjp = ode.net_apply_array, ode.net_vjp_array
+
+    def recording_apply(params, x, pad_mode="zeros"):
+        seen.append(("apply", params.dtype, x.dtype))
+        return apply(params, x, pad_mode)
+
+    def recording_vjp(params, tape, gy):
+        seen.append(("vjp", params.dtype, gy.dtype))
+        return vjp(params, tape, gy)
+
+    monkeypatch.setattr(ode, "net_apply_array", recording_apply)
+    monkeypatch.setattr(ode, "net_vjp_array", recording_vjp)
+    _, _, train_set, val_set = tiny_sets()
+    train(train_set, val_set, NetArch(n_levels=1, base_channels=2), OdeConfig(),
+          TrainConfig(epochs=1, seed=7, lr_net=1e-3))
+
+    assert {kind for kind, _, _ in seen} == {"apply", "vjp"}
+    assert all(p == np.float64 and x == np.float64 for _, p, x in seen)
 
 
 def test_resumed_run_reproduces_the_uninterrupted_history(tmp_path):
