@@ -6,6 +6,15 @@ nearest-neighbour 2x upsampling, encoder-decoder skip connections by channel
 concatenation, and a final 1x1 projection.  The projection layer initializes
 to exact zeros so an untrained network is the zero map.
 
+Neither the upsampled map nor the concatenation is ever built.  A decoder
+conv of concat(skip, upsample(h)) is the conv of the skip channels plus, for
+each of the 2^d output parities, a smaller conv of the coarse h: nearest
+upsampling followed by a conv is a sub-pixel conv.  The 2^d parity kernels
+are one folded kernel (_fold_kernel, a fixed 0/1 map of the decoder kernel),
+so the coarse part is one conv at the coarse resolution whose output groups
+add into the strided views y[:, p0::2, p1::2, ...].  Pooling likewise sums
+the 2^d strided views.
+
 Everything is plain numpy, in the dtype of the parameters: float64 for
 training, the VJPs and the parameter file, and float32 for the forward
 passes of an inference solve, which ode.reconstruct_node runs on a float32
@@ -21,8 +30,10 @@ builds its whole patch matrix.  The VJPs are the exact transposes of that
 linearization, built from the forward primitives: the kernel gradient is a
 sum of per-slab products of the shifted output gradient with the patches,
 the input gradient is the same conv with the kernel flipped and transposed
-in (c_out, c_in), and pooling and upsampling are each other's adjoints up to
-a power-of-two scale.
+in (c_out, c_in).  A decoder's VJP is the VJP of its two convs: the parity
+conv's input gradient is already the coarse gradient, so the upsample's
+adjoint folds into it, and the kernel gradient unfolds through the transpose
+of the 0/1 map.  Pooling's adjoint adds g / 2^d into each strided view.
 ReLU uses the subgradient 0 at exactly 0.  Padding is zero ("same") by
 default; periodic padding exists for the shift-equivariance test mode.
 
@@ -265,7 +276,8 @@ def _conv_forward(x, w, b, pad_mode):
         for a in range(1, k[-1]):
             out += z[a, ..., a : a + s]
         del z  # else it outlives the next slab's product, over the budget
-    y += b.reshape((c_out,) + (1,) * (y.ndim - 1))
+    if b is not None:
+        y += b.reshape((c_out,) + (1,) * (y.ndim - 1))
     return y
 
 
@@ -288,24 +300,90 @@ def _conv_vjp(gy, x, w, pad_mode):
     # kernel flipped spatially and transposed in (c_out, c_in), padded the
     # same way; exact for zero padding and for circular wrap of any width
     w_adj = np.flip(w, axis=tuple(range(2, w.ndim))).swapaxes(0, 1)
-    gx = _conv_forward(gy, w_adj, np.zeros(c_in), pad_mode)
+    gx = _conv_forward(gy, w_adj, None, pad_mode)
     return gx, gw, gb
 
 
+def _parity_views(x):
+    """The 2^d strided views x[:, p0::2, p1::2, ...] of a (channels, *spatial)
+    array, one per parity (p0, p1, ...) in C order."""
+    return [
+        x[(slice(None),) + tuple(slice(p, None, 2) for p in parity)]
+        for parity in np.ndindex(*(2,) * (x.ndim - 1))
+    ]
+
+
 def _avgpool_forward(x):
-    c = x.shape[0]
-    spatial = x.shape[1:]
-    shape = (c,)
-    for s in spatial:
-        shape += (s // 2, 2)
-    axes = tuple(range(2, 2 * len(spatial) + 1, 2))
-    return x.reshape(shape).mean(axis=axes)
+    views = _parity_views(x)
+    y = views[0] + views[1]
+    for view in views[2:]:
+        y += view
+    y *= 1.0 / len(views)
+    return y
 
 
-def _upsample_forward(x):
-    for axis in range(1, x.ndim):
-        x = np.repeat(x, 2, axis=axis)
-    return x
+@functools.cache
+def _parity_fold(k: int, dims: int) -> np.ndarray:
+    """The 0/1 map Q from a k^d kernel on the 2x nearest-upsampled map to the
+    2^d parity kernels on the coarse map, shape (2,)*d + (kc,)*d + (k,)*d.
+
+    Along an axis, output site 2m + p reads the upsampled map at
+    2m + p + t - k//2, which is coarse site m + (p + t - k//2) // 2, so fine
+    tap t of parity p lands on coarse tap (p + t - k//2) // 2 + kc//2.  That
+    holds for zero padding and for periodic wrap alike.
+    """
+    r = k // 2
+    rc = (r + 1) // 2
+    q = np.zeros((2,) * dims + (2 * rc + 1,) * dims + (k,) * dims)
+    for parity in np.ndindex(*(2,) * dims):
+        for tap in np.ndindex(*(k,) * dims):
+            coarse = tuple((p + t - r) // 2 + rc for p, t in zip(parity, tap))
+            q[parity + coarse + tap] = 1.0
+    q.setflags(write=False)  # the cache hands the same array to every caller
+    return q
+
+
+def _fold_kernel(w_up):
+    """The parity kernel of w_up (c_out, c_up, k, ...): shape
+    (2^d * c_out, c_up, kc, ...), output groups in _parity_views order."""
+    d = w_up.ndim - 2
+    q = _parity_fold(w_up.shape[-1], d)
+    kernel = np.tensordot(w_up, q, axes=(range(2, d + 2), range(2 * d, 3 * d)))
+    kernel = np.moveaxis(kernel, range(2, d + 2), range(d))
+    # q is float64: without the cast a float32 forward's parity conv runs in float64
+    return kernel.reshape((-1,) + kernel.shape[d + 1 :]).astype(w_up.dtype)
+
+
+def _unfold_gradient(g_kernel, k):
+    """Adjoint of _fold_kernel for fine kernel size k: the gradient of w_up
+    from that of its parity kernel."""
+    d = g_kernel.ndim - 2
+    g_kernel = g_kernel.reshape((2,) * d + (-1,) + g_kernel.shape[1:])
+    axes = [*range(d), *range(d + 2, 2 * d + 2)]
+    return np.tensordot(g_kernel, _parity_fold(k, d), axes=(axes, range(2 * d)))
+
+
+def _decoder_conv_forward(skip, h, w, b, pad_mode):
+    """conv(concat(skip, upsample(h)), w) + b without building either: the
+    conv of the skip channels plus one parity conv of the coarse h, whose
+    2^d output groups add into the strided views of the output."""
+    c_skip = skip.shape[0]
+    y = _conv_forward(skip, w[:, :c_skip], b, pad_mode)
+    z = _conv_forward(h, _fold_kernel(w[:, c_skip:]), None, pad_mode)
+    for view, group in zip(_parity_views(y), z.reshape((-1,) + y.shape[:1] + h.shape[1:])):
+        view += group
+    return y
+
+
+def _decoder_conv_vjp(g, skip, h, w, pad_mode):
+    """(gskip, gh, gw, gb) of _decoder_conv_forward; gh is at the coarse
+    resolution: the upsample's adjoint folds into the parity conv's VJP."""
+    c_skip = skip.shape[0]
+    gskip, gw_skip, gb = _conv_vjp(g, skip, w[:, :c_skip], pad_mode)
+    gz = np.stack(_parity_views(g)).reshape((-1,) + h.shape[1:])
+    gh, g_kernel, _ = _conv_vjp(gz, h, _fold_kernel(w[:, c_skip:]), pad_mode)
+    gw = np.concatenate([gw_skip, _unfold_gradient(g_kernel, w.shape[-1])], axis=1)
+    return gskip, gh, gw, gb
 
 
 def _instance_norm_forward(x, scale, shift):
@@ -361,9 +439,13 @@ def net_apply_array(params: NetParams, x: np.ndarray, pad_mode: str = "zeros"):
     use_norm = arch.instance_norm
     levels = arch.n_levels
 
-    def block(h, idx):
-        z = _conv_forward(h, params.weights[idx], params.biases[idx], pad_mode)
-        cache = {"x": h}
+    def block(h, idx, skip=None):
+        w, b = params.weights[idx], params.biases[idx]
+        if skip is None:
+            z = _conv_forward(h, w, b, pad_mode)
+        else:
+            z = _decoder_conv_forward(skip, h, w, b, pad_mode)
+        cache = {"x": h, "skip": skip}
         if use_norm:
             z, xhat, inv = _instance_norm_forward(
                 z, params.norm_scales[idx], params.norm_shifts[idx]
@@ -385,12 +467,8 @@ def net_apply_array(params: NetParams, x: np.ndarray, pad_mode: str = "zeros"):
     h, cache = block(h, idx)
     tape["blocks"].append(cache)
     idx += 1
-    for lvl in reversed(range(levels - 1)):
-        h = _upsample_forward(h)
-        # the concatenation copies the skip; popping it frees the list's copy
-        # before the decoder conv, the forward's memory peak
-        h = np.concatenate([skips.pop(), h], axis=0)
-        h, cache = block(h, idx)
+    for _ in range(levels - 1):
+        h, cache = block(h, idx, skips.pop())
         tape["blocks"].append(cache)
         idx += 1
     tape["proj_in"] = h
@@ -407,16 +485,23 @@ def net_vjp_array(params: NetParams, tape, gy: np.ndarray):
     grads = NetParams.from_flat(arch, np.zeros(_n_params(arch)))
 
     def block_backward(g, idx):
+        """(input gradient, skip gradient or None) of block idx."""
         cache = tape["blocks"][idx]
         g = g * cache["active"]
         if use_norm:
             g, grads.norm_scales[idx][...], grads.norm_shifts[idx][...] = _instance_norm_vjp(
                 g, cache["xhat"], cache["inv"], params.norm_scales[idx]
             )
-        gx, grads.weights[idx][...], grads.biases[idx][...] = _conv_vjp(
-            g, cache["x"], params.weights[idx], pad_mode
+        w = params.weights[idx]
+        if cache["skip"] is None:
+            gx, grads.weights[idx][...], grads.biases[idx][...] = _conv_vjp(
+                g, cache["x"], w, pad_mode
+            )
+            return gx, None
+        gskip, gx, grads.weights[idx][...], grads.biases[idx][...] = _decoder_conv_vjp(
+            g, cache["skip"], cache["x"], w, pad_mode
         )
-        return gx
+        return gx, gskip
 
     idx = len(params.weights) - 1
     g, grads.weights[idx][...], grads.biases[idx][...] = _conv_vjp(
@@ -424,21 +509,19 @@ def net_vjp_array(params: NetParams, tape, gy: np.ndarray):
     )
     idx -= 1
 
-    width = lambda lvl: arch.base_channels * 2**lvl
     skip_grads = []
-    for lvl in range(levels - 1):
-        g = block_backward(g, idx)
+    for _ in range(levels - 1):
+        g, gskip = block_backward(g, idx)
+        skip_grads.append(gskip)
         idx -= 1
-        skip_grads.append((lvl, g[: width(lvl)]))
-        # upsampling's adjoint sums each 2^d block: the mean times 2^d
-        g = _avgpool_forward(g[width(lvl) :]) * 2**arch.dims
-    g = block_backward(g, idx)
+    g, _ = block_backward(g, idx)
     idx -= 1
-    skip_by_level = dict(skip_grads)
-    for lvl in reversed(range(levels - 1)):
+    for gskip in reversed(skip_grads):
         # mean pooling's adjoint spreads g / 2^d over each block
-        g = _upsample_forward(g) / 2**arch.dims + skip_by_level[lvl]
-        g = block_backward(g, idx)
+        g = g / 2**arch.dims
+        for view in _parity_views(gskip):
+            view += g
+        g, _ = block_backward(gskip, idx)
         idx -= 1
 
     return grads, g[0]

@@ -153,7 +153,11 @@ def _rk4_step(f, ys, t, h, stage, acc, step):
     """
     zs = ys
     for i, c in enumerate(_RK4_NODES):
-        ks = f(zs, t + c * h)
+        # a diverging state overflows inside f (the float32 cast, then NaN
+        # products); _check_finite turns every such rate into DivergenceError,
+        # so numpy's warnings would only precede that message
+        with np.errstate(over="ignore", invalid="ignore"):
+            ks = f(zs, t + c * h)
         if i == 0:
             first = ks
         for k, y, z, a in zip(ks, ys, stage, acc):

@@ -1,12 +1,18 @@
 """End-to-end tests for the command-line interface.
 
 Every command runs in-process through main(argv) so exit codes, stdout, and
-stderr can be checked directly.  File outputs land in pytest tmp dirs.
+stderr can be checked directly; the one test about numpy's warning output
+runs it in a fresh interpreter, whose warning filters are the defaults.
+File outputs land in pytest tmp dirs.
 """
 
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -618,6 +624,25 @@ def test_node_state_beyond_float32_range_exits_4(fan_scan, tmp_path, capsys):
     assert code == 4
     assert "ODE step" in capsys.readouterr().err
     assert not (tmp_path / "recon_node.ctv").exists()
+
+
+def test_node_divergence_prints_no_numpy_warnings(fan_scan, tmp_path):
+    # a fresh interpreter with default warning filters: the overflowing float32
+    # cast and the NaN matmul of the diverging rates must not print numpy
+    # RuntimeWarnings ahead of the exit-4 message
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    result = subprocess.run(
+        [
+            sys.executable, "-c", "import sys; from tomoflow.cli import main; sys.exit(main())",
+            "reconstruct", "--method", "node", "--untrained", "--gamma", "40",
+            "--sinogram", str(fan_scan / "sinogram.cts"),
+            "--grid-shape", "32,32", "--out", str(tmp_path),
+        ],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 4
+    assert "RuntimeWarning" not in result.stderr
+    assert result.stderr.startswith("error: non-finite value during ODE step")
 
 
 # --- eval ---

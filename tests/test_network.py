@@ -24,12 +24,20 @@ from tomoflow import (
 )
 from tomoflow import network
 from tomoflow.network import (
+    _avgpool_forward,
     _conv_forward,
     _conv_vjp,
+    _decoder_conv_forward,
+    _decoder_conv_vjp,
+    _fold_kernel,
+    _parity_fold,
     _row_slabs,
+    _unfold_gradient,
     net_apply_array,
     net_vjp_array,
 )
+
+from decoder_oracle import concat_decoder_forward, concat_decoder_vjp, reshape_mean_pool
 
 
 def unzero_projection(params, seed):
@@ -172,6 +180,20 @@ def test_gradients_match_finite_differences_with_instance_norm():
     assert err_x < 1e-6
 
 
+@pytest.mark.parametrize(
+    "dims, shape", [(2, (8, 8)), (3, (8, 8, 8))], ids=["2d", "3d"]
+)
+def test_gradients_match_finite_differences_three_levels_with_instance_norm(dims, shape):
+    # two decoders: the skip gradient of each level and the coarse gradient
+    # of the parity conv both reach the input.  The bottom level keeps 2
+    # sites per axis: a norm over one site outputs its shift exactly, 0 at
+    # init, and the FD step straddles the ReLU kink there
+    arch = NetArch(n_levels=3, base_channels=2, dims=dims, instance_norm=True)
+    err_p, err_x = directional_fd_errors(arch, shape, 6)
+    assert err_p < 1e-6
+    assert err_x < 1e-6
+
+
 def test_periodic_gradients_when_kernel_radius_exceeds_a_side():
     # radius 3 against the 2x2 bottom level: the padding wraps more than once
     err_p, err_x = directional_fd_errors(
@@ -290,6 +312,95 @@ def test_conv_matches_a_direct_shifted_sum(monkeypatch, pad_mode, k, c_in, c_out
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+# --- the decoder at the coarse resolution ---
+
+
+@pytest.mark.parametrize("pad_mode", ["zeros", "periodic"])
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+@pytest.mark.parametrize(
+    # coarse sides 1 and 2 are below the radius of a 5x5 or 7x7 kernel, so the
+    # parity kernel's padding is wider than the map it pads
+    "spatial", [(1, 2), (3, 4), (2, 2, 2), (1, 3, 2)], ids=["2d-1x2", "2d-3x4", "3d-2", "3d-1x3x2"]
+)
+def test_decoder_matches_the_concatenation_oracle(pad_mode, k, spatial):
+    rng = np.random.default_rng(19)
+    c_skip, c_up, c_out = 2, 3, 4
+    fine = tuple(2 * s for s in spatial)
+    skip = rng.normal(0.0, 1.0, (c_skip,) + fine)
+    h = rng.normal(0.0, 1.0, (c_up,) + spatial)
+    w = rng.normal(0.0, 1.0, (c_out, c_skip + c_up) + (k,) * len(spatial))
+    b = rng.normal(0.0, 1.0, c_out)
+    g = rng.normal(0.0, 1.0, (c_out,) + fine)
+
+    want = (concat_decoder_forward(skip, h, w, b, pad_mode),) + concat_decoder_vjp(
+        g, skip, h, w, pad_mode
+    )
+    got = (_decoder_conv_forward(skip, h, w, b, pad_mode),) + _decoder_conv_vjp(
+        g, skip, h, w, pad_mode
+    )
+    # forward, gskip, gh, kernel gradient, bias gradient
+    for a, ref in zip(got, want):
+        assert a.shape == ref.shape
+        assert np.max(np.abs(a - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    single = lambda a: a.astype(np.float32)
+    got32 = _decoder_conv_forward(single(skip), single(h), single(w), single(b), pad_mode)
+    assert got32.dtype == np.float32
+    assert np.max(np.abs(got32 - want[0])) <= 1e-6 * np.max(np.abs(want[0]))
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+def test_parity_fold_and_its_adjoint(dims, k):
+    q = _parity_fold(k, dims)
+    # every fine tap of every parity lands on exactly one coarse tap
+    coarse_axes = tuple(range(dims, 2 * dims))
+    assert np.array_equal(q.sum(axis=coarse_axes), np.ones((2,) * dims + (k,) * dims))
+    assert set(np.unique(q)) <= {0.0, 1.0}
+
+    rng = np.random.default_rng(20)
+    w = rng.normal(0.0, 1.0, (3, 2) + (k,) * dims)
+    folded = _fold_kernel(w)
+    kc = q.shape[dims]
+    assert folded.shape == (2**dims * 3, 2) + (kc,) * dims
+    g = rng.normal(0.0, 1.0, folded.shape)
+    # <Q w, K> = <w, Q^T K>
+    lhs, rhs = np.sum(folded * g), np.sum(w * _unfold_gradient(g, k))
+    assert abs(lhs - rhs) <= 1e-13 * np.sum(np.abs(folded * g))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", [(4, 8, 6), (3, 4, 6, 8)], ids=["2d", "3d"])
+def test_avgpool_matches_a_reshape_mean(dtype, shape):
+    x = np.random.default_rng(21).normal(0.0, 1.0, shape).astype(dtype)
+    got = _avgpool_forward(x)
+    want = reshape_mean_pool(x.astype(np.float64))
+    assert got.dtype == dtype
+    bound = 1e-15 if dtype == np.float64 else 1e-6
+    assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dims, side", [(2, 16), (3, 8)])
+def test_float32_forward_computes_in_float32(monkeypatch, dims, side):
+    # a parity kernel folded with the float64 map and left uncast would run
+    # the parity conv in float64, about twice as slow, with equal outputs
+    seen = []
+    conv = network._conv_forward
+
+    def recording_conv(x, w, b, pad_mode):
+        seen.append((x.dtype, w.dtype))
+        return conv(x, w, b, pad_mode)
+
+    monkeypatch.setattr(network, "_conv_forward", recording_conv)
+    params = unzero_projection(init_params(NetArch(n_levels=3, dims=dims), 0), 1)
+    x = np.random.default_rng(22).uniform(0.0, 1.0, (side,) * dims)
+    y, _ = net_apply_array(params.astype(np.float32), x)
+    assert y.dtype == np.float32
+    # 2 encoders, the bottom, 2 decoders of two convs each, the projection
+    assert len(seen) == 8
+    assert set(seen) == {(np.dtype(np.float32), np.dtype(np.float32))}
+
+
 def test_3d_network_memory_is_bounded():
     # building each conv's whole 32^3 patch matrix peaked at 92 MiB in the
     # forward pass and 121 MiB in the VJP
@@ -334,9 +445,10 @@ def test_astype_copies_every_tensor():
 
 @pytest.mark.parametrize(
     "c_in, c_out, k, side",
-    # the convs of NetArch(dims=3) on a 32^3 volume; only the decoder conv
-    # needs more than one slab
-    [(1, 4, 3, 32), (4, 8, 3, 16), (12, 4, 3, 32), (4, 1, 1, 32)],
+    # the convs of NetArch(dims=3) on a 32^3 volume (the decoder's skip conv
+    # and its 2^3-parity conv of the coarse map), plus the 12-channel conv of
+    # a concatenated decoder, the only one that needs more than one slab
+    [(1, 4, 3, 32), (4, 8, 3, 16), (12, 4, 3, 32), (4, 1, 1, 32), (4, 4, 3, 32), (8, 32, 3, 16)],
 )
 def test_row_slabs_count_the_itemsize(c_in, c_out, k, side):
     kernel = (k,) * 3
