@@ -162,6 +162,11 @@ def tv_value(x: Volume | np.ndarray, eps: float) -> float:
 
 
 def _tv_gradient_array(values: np.ndarray, eps: float) -> np.ndarray:
+    """Gradient of the smoothed isotropic TV functional.
+
+    R(x) = sum_j sqrt(sum_axes (x[j+e] - x[j])^2 + eps^2); the gradient is the
+    negative discrete divergence of the normalized forward-difference flux.
+    """
     grads, phi = _tv_terms(values, eps)
     out = np.zeros_like(values)
     for axis, g in enumerate(grads):
@@ -173,17 +178,6 @@ def _tv_gradient_array(values: np.ndarray, eps: float) -> np.ndarray:
         dst[axis] = slice(1, None)
         out[tuple(dst)] += flux[tuple(src)]
     return out
-
-
-def tv_gradient(x: Volume, eps: float) -> Volume:
-    """Gradient of the smoothed isotropic TV functional.
-
-    R(x) = sum_j sqrt(sum_axes (x[j+e] - x[j])^2 + eps^2); the gradient is the
-    negative discrete divergence of the normalized forward-difference flux.
-    """
-    if not eps > 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    return Volume(x.grid, _tv_gradient_array(x.values, eps))
 
 
 def _resolve_eps(cfg: IterConfig, x_init: np.ndarray) -> float:

@@ -44,7 +44,7 @@ from .errors import (
     InvalidGeometryError,
     ShapeMismatchError,
 )
-from .analytic import fbp_fan, fdk_cone
+from .analytic import _WINDOWS, fbp_fan, fdk_cone
 from .geometry import VolumeGrid, geometry_from_dict, geometry_to_dict
 from .metrics import compute_metrics
 from .network import NetArch, init_params
@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--reference", default=None, help="ground-truth volume; enables metrics output")
     sp.add_argument("--grid-shape", default=None, help="comma-separated voxel counts, e.g. 64,64")
     sp.add_argument("--voxel-size", type=float, default=1.0)
-    sp.add_argument("--window", default="hann", choices=("ram-lak", "hann"))
+    sp.add_argument("--window", default="hann", choices=_WINDOWS)
     sp.add_argument("--iters", type=int, default=None, help="iteration count for sirt/tv")
     sp.add_argument("--tv-weight", type=float, default=1e-4)
     sp.add_argument("--step-size", type=float, default=None)

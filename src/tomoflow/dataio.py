@@ -237,10 +237,6 @@ def write_metrics(path, doc: dict) -> None:
     _write_json(path, doc)
 
 
-def read_metrics(path) -> dict:
-    return json.loads(Path(path).read_text())
-
-
 def write_manifest(path, doc: dict) -> None:
     """Reproducibility record: every parameter and seed, no volatile fields."""
     _write_json(path, doc)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 from .projector import Volume
 
@@ -64,6 +63,10 @@ def _gaussian_taps(width: int, sigma: float) -> np.ndarray:
 
 
 def _smooth(arr: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    # imported here: scipy.ndimage is a tenth of a second of `import tomoflow`
+    # and nothing but SSIM uses it
+    from scipy.ndimage import correlate1d
+
     out = arr
     for axis in range(arr.ndim):
         out = correlate1d(out, taps, axis=axis, mode="reflect")

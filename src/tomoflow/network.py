@@ -34,8 +34,7 @@ in (c_out, c_in).  A decoder's VJP is the VJP of its two convs: the parity
 conv's input gradient is already the coarse gradient, so the upsample's
 adjoint folds into it, and the kernel gradient unfolds through the transpose
 of the 0/1 map.  Pooling's adjoint adds g / 2^d into each strided view.
-ReLU uses the subgradient 0 at exactly 0.  Padding is zero ("same") by
-default; periodic padding exists for the shift-equivariance test mode.
+ReLU uses the subgradient 0 at exactly 0.  Padding is zero ("same").
 
 Parameters live in per-kind tensor lists (kernels, biases, norm scales and
 shifts) and flatten to a single vector, the one the optimizer and the
@@ -69,7 +68,8 @@ class NetArch:
 
     n_levels is the encoder depth: n_levels - 1 pooled encoder stages plus a
     bottom stage.  Channel width doubles per level from base_channels.
-    Spatial input sides must be divisible by 2^(n_levels - 1).
+    Spatial input sides must be divisible by 2^(n_levels - 1); with
+    instance_norm, the pooled bottom level must have more than one site.
     """
 
     n_levels: int = 2
@@ -209,20 +209,16 @@ def init_params(arch: NetArch, seed: int) -> NetParams:
 # layer primitives, dimension-generic over (channels, *spatial) arrays
 
 
-_PAD_MODES = ("zeros", "periodic")
-
 # byte budget of one row slab of a conv: its patch matrix plus its GEMM
 # output; a slab holds at least one row, so a row larger than the budget is
 # built alone
 _PATCH_BYTES = 4 * 2**20
 
 
-def _pad_input(x: np.ndarray, k: tuple[int, ...], pad_mode: str) -> np.ndarray:
+def _pad_input(x: np.ndarray, k: tuple[int, ...]) -> np.ndarray:
     if all(ki == 1 for ki in k):
         return x
     pads = [ki // 2 for ki in k]
-    if pad_mode == "periodic":
-        return np.pad(x, [(0, 0)] + [(p, p) for p in pads], mode="wrap")
     spatial = x.shape[1:]
     xp = np.zeros((x.shape[0],) + tuple(s + 2 * p for s, p in zip(spatial, pads)), x.dtype)
     xp[(slice(None),) + tuple(slice(p, p + s) for s, p in zip(spatial, pads))] = x
@@ -258,10 +254,10 @@ def _patch_matrix(xp: np.ndarray, k: tuple[int, ...], r0: int, r1: int) -> np.nd
     return views.transpose(order).reshape(xp.shape[0] * int(np.prod(k[:-1])), -1)
 
 
-def _conv_forward(x, w, b, pad_mode):
+def _conv_forward(x, w, b):
     c_out, k = w.shape[0], w.shape[2:]
     s = x.shape[-1]
-    xp = _pad_input(x, k, pad_mode)
+    xp = _pad_input(x, k)
     # the last kernel axis's taps become GEMM output rows: z[a] is the
     # correlation over the other axes with w[..., a], and y sums z[a]
     # shifted left by a along the last axis
@@ -281,10 +277,10 @@ def _conv_forward(x, w, b, pad_mode):
     return y
 
 
-def _conv_vjp(gy, x, w, pad_mode):
+def _conv_vjp(gy, x, w):
     c_out, c_in, k = w.shape[0], w.shape[1], w.shape[2:]
     s = x.shape[-1]
-    xp = _pad_input(x, k, pad_mode)
+    xp = _pad_input(x, k)
     gb = gy.reshape(c_out, -1).sum(axis=1)
     gws = np.zeros((k[-1] * c_out, c_in * int(np.prod(k[:-1]))))
     for r0, r1 in _row_slabs(x, w):
@@ -296,11 +292,10 @@ def _conv_vjp(gy, x, w, pad_mode):
         del gz
     del xp  # the input gradient does not need it; freeing it lowers the peak
     gw = np.moveaxis(gws.reshape((k[-1], c_out, c_in) + k[:-1]), 0, -1)
-    # the adjoint of a same-padded correlation is the correlation with the
-    # kernel flipped spatially and transposed in (c_out, c_in), padded the
-    # same way; exact for zero padding and for circular wrap of any width
+    # the adjoint of a zero-padded correlation is the correlation with the
+    # kernel flipped spatially and transposed in (c_out, c_in)
     w_adj = np.flip(w, axis=tuple(range(2, w.ndim))).swapaxes(0, 1)
-    gx = _conv_forward(gy, w_adj, None, pad_mode)
+    gx = _conv_forward(gy, w_adj, None)
     return gx, gw, gb
 
 
@@ -329,8 +324,7 @@ def _parity_fold(k: int, dims: int) -> np.ndarray:
 
     Along an axis, output site 2m + p reads the upsampled map at
     2m + p + t - k//2, which is coarse site m + (p + t - k//2) // 2, so fine
-    tap t of parity p lands on coarse tap (p + t - k//2) // 2 + kc//2.  That
-    holds for zero padding and for periodic wrap alike.
+    tap t of parity p lands on coarse tap (p + t - k//2) // 2 + kc//2.
     """
     r = k // 2
     rc = (r + 1) // 2
@@ -363,25 +357,25 @@ def _unfold_gradient(g_kernel, k):
     return np.tensordot(g_kernel, _parity_fold(k, d), axes=(axes, range(2 * d)))
 
 
-def _decoder_conv_forward(skip, h, w, b, pad_mode):
+def _decoder_conv_forward(skip, h, w, b):
     """conv(concat(skip, upsample(h)), w) + b without building either: the
     conv of the skip channels plus one parity conv of the coarse h, whose
     2^d output groups add into the strided views of the output."""
     c_skip = skip.shape[0]
-    y = _conv_forward(skip, w[:, :c_skip], b, pad_mode)
-    z = _conv_forward(h, _fold_kernel(w[:, c_skip:]), None, pad_mode)
+    y = _conv_forward(skip, w[:, :c_skip], b)
+    z = _conv_forward(h, _fold_kernel(w[:, c_skip:]), None)
     for view, group in zip(_parity_views(y), z.reshape((-1,) + y.shape[:1] + h.shape[1:])):
         view += group
     return y
 
 
-def _decoder_conv_vjp(g, skip, h, w, pad_mode):
+def _decoder_conv_vjp(g, skip, h, w):
     """(gskip, gh, gw, gb) of _decoder_conv_forward; gh is at the coarse
     resolution: the upsample's adjoint folds into the parity conv's VJP."""
     c_skip = skip.shape[0]
-    gskip, gw_skip, gb = _conv_vjp(g, skip, w[:, :c_skip], pad_mode)
+    gskip, gw_skip, gb = _conv_vjp(g, skip, w[:, :c_skip])
     gz = np.stack(_parity_views(g)).reshape((-1,) + h.shape[1:])
-    gh, g_kernel, _ = _conv_vjp(gz, h, _fold_kernel(w[:, c_skip:]), pad_mode)
+    gh, g_kernel, _ = _conv_vjp(gz, h, _fold_kernel(w[:, c_skip:]))
     gw = np.concatenate([gw_skip, _unfold_gradient(g_kernel, w.shape[-1])], axis=1)
     return gskip, gh, gw, gb
 
@@ -423,17 +417,22 @@ def _check_input_shape(arch: NetArch, shape: tuple[int, ...]):
             raise ShapeMismatchError(
                 f"input sides must be divisible by {factor}, got shape {shape}"
             )
+    # a norm over one site outputs its shift whatever the input, so the
+    # bottom block would carry nothing and its ReLU would sit on the kink
+    if arch.instance_norm and all(s == factor for s in shape):
+        raise ShapeMismatchError(
+            f"instance norm needs a bottom level of more than one site; shape {shape} "
+            f"pooled by {factor} leaves one"
+        )
 
 
-def net_apply_array(params: NetParams, x: np.ndarray, pad_mode: str = "zeros"):
+def net_apply_array(params: NetParams, x: np.ndarray):
     """Forward pass on a bare spatial array; returns (output, tape).
 
     Computes in params.dtype: x is cast to it, and the output and tape are
     in it.  The tape holds every intermediate needed by net_vjp_array.
     """
     arch = params.arch
-    if pad_mode not in _PAD_MODES:
-        raise ValueError(f"pad_mode must be 'zeros' or 'periodic', got {pad_mode!r}")
     x = np.asarray(x, dtype=params.dtype)
     _check_input_shape(arch, x.shape)
     use_norm = arch.instance_norm
@@ -442,9 +441,9 @@ def net_apply_array(params: NetParams, x: np.ndarray, pad_mode: str = "zeros"):
     def block(h, idx, skip=None):
         w, b = params.weights[idx], params.biases[idx]
         if skip is None:
-            z = _conv_forward(h, w, b, pad_mode)
+            z = _conv_forward(h, w, b)
         else:
-            z = _decoder_conv_forward(skip, h, w, b, pad_mode)
+            z = _decoder_conv_forward(skip, h, w, b)
         cache = {"x": h, "skip": skip}
         if use_norm:
             z, xhat, inv = _instance_norm_forward(
@@ -455,7 +454,7 @@ def net_apply_array(params: NetParams, x: np.ndarray, pad_mode: str = "zeros"):
         return np.maximum(z, 0.0), cache
 
     h = x[None]
-    tape = {"blocks": [], "pad_mode": pad_mode}
+    tape = {"blocks": []}
     skips = []
     idx = 0
     for _ in range(levels - 1):
@@ -472,14 +471,13 @@ def net_apply_array(params: NetParams, x: np.ndarray, pad_mode: str = "zeros"):
         tape["blocks"].append(cache)
         idx += 1
     tape["proj_in"] = h
-    y = _conv_forward(h, params.weights[idx], params.biases[idx], pad_mode)
+    y = _conv_forward(h, params.weights[idx], params.biases[idx])
     return y[0], tape
 
 
 def net_vjp_array(params: NetParams, tape, gy: np.ndarray):
     """Backward pass from a forward tape: returns (grad NetParams, grad input)."""
     arch = params.arch
-    pad_mode = tape["pad_mode"]
     use_norm = arch.instance_norm
     levels = arch.n_levels
     grads = NetParams.from_flat(arch, np.zeros(_n_params(arch)))
@@ -494,18 +492,16 @@ def net_vjp_array(params: NetParams, tape, gy: np.ndarray):
             )
         w = params.weights[idx]
         if cache["skip"] is None:
-            gx, grads.weights[idx][...], grads.biases[idx][...] = _conv_vjp(
-                g, cache["x"], w, pad_mode
-            )
+            gx, grads.weights[idx][...], grads.biases[idx][...] = _conv_vjp(g, cache["x"], w)
             return gx, None
         gskip, gx, grads.weights[idx][...], grads.biases[idx][...] = _decoder_conv_vjp(
-            g, cache["skip"], cache["x"], w, pad_mode
+            g, cache["skip"], cache["x"], w
         )
         return gx, gskip
 
     idx = len(params.weights) - 1
     g, grads.weights[idx][...], grads.biases[idx][...] = _conv_vjp(
-        gy[None], tape["proj_in"], params.weights[idx], pad_mode
+        gy[None], tape["proj_in"], params.weights[idx]
     )
     idx -= 1
 

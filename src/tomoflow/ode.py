@@ -264,7 +264,7 @@ class NodeDynamics:
         """f(x), with A^T(Ax - p) and the network tape that aug reuses."""
         residual = self.op.forward(x) - self.p_flat
         dc = self.op.adjoint(residual)
-        reg, tape = net_apply_array(self.params, x, "zeros")
+        reg, tape = net_apply_array(self.params, x)
         return -self.cfg.lam * (self.gamma * dc + self.cfg.mu * reg), dc, tape
 
     def __call__(self, x: np.ndarray, t: float = 0.0) -> np.ndarray:

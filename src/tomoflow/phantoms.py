@@ -73,19 +73,6 @@ def _unit_coords(grid: VolumeGrid):
     return np.meshgrid(*axes, indexing="ij", sparse=True)
 
 
-def shepp_logan_value(x: float, y: float) -> float:
-    """Sum of table intensities of the ellipses containing (x, y)."""
-    total = 0.0
-    for a, b, x0, y0, deg, val in SHEPP_LOGAN_ELLIPSES:
-        phi = math.radians(deg)
-        dx, dy = x - x0, y - y0
-        u = math.cos(phi) * dx + math.sin(phi) * dy
-        v = -math.sin(phi) * dx + math.cos(phi) * dy
-        if (u / a) ** 2 + (v / b) ** 2 <= 1.0:
-            total += val
-    return total
-
-
 def _shepp_logan(grid: VolumeGrid, lo: float, hi: float) -> np.ndarray:
     xs, ys = _unit_coords(grid)
     out = np.zeros(grid.shape)

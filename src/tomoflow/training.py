@@ -147,7 +147,6 @@ class TrainConfig:
     """Training hyperparameters; the two learning rates follow the two blocks."""
 
     epochs: int = 30
-    batch_size: int = 1
     lr_net: float = 1e-4
     lr_gamma: float = 1e-2
     beta1: float = 0.9
@@ -165,8 +164,6 @@ class TrainConfig:
                 raise ConfigError(name, f"must be an integer, got {value!r}")
         if self.epochs < 1:
             raise ConfigError("epochs", f"must be >= 1, got {self.epochs}")
-        if self.batch_size != 1:
-            raise ConfigError("batch_size", f"only batch size 1 is supported, got {self.batch_size}")
         for name in ("lr_net", "lr_gamma", "eps"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -178,8 +175,8 @@ class TrainConfig:
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(name, f"must be in [0, 1), got {getattr(self, name)}")
-        if self.clip_norm is not None and not self.clip_norm > 0:
-            raise ConfigError("clip_norm", f"must be > 0 or None, got {self.clip_norm}")
+        if self.clip_norm is None or not self.clip_norm > 0:
+            raise ConfigError("clip_norm", f"must be > 0, got {self.clip_norm}")
 
 
 @dataclass
@@ -236,9 +233,13 @@ def load_checkpoint(path) -> Checkpoint:
             f"{path}: sidecar n_params {sidecar['n_params']!r} disagrees with the "
             f"{params.n_params} parameters in the file"
         )
+    train_fields = sidecar["train"]
+    # sidecars written while TrainConfig had a batch_size field record it as 1
+    if isinstance(train_fields, dict) and train_fields.get("batch_size") == 1:
+        del train_fields["batch_size"]
     with sidecar_values(path):
         ode_cfg = OdeConfig(**sidecar["ode"])
-        train_cfg = TrainConfig(**sidecar["train"])
+        train_cfg = TrainConfig(**train_fields)
         gamma = float(sidecar["gamma"])
         epoch = int(sidecar["epoch"])
         val_loss = float(sidecar["val_loss"])
@@ -412,17 +413,16 @@ def train(
             else:
                 continue
             grads = np.concatenate([g_theta, [g_gamma]])
-            if cfg.clip_norm is not None:
-                gnorm = float(np.linalg.norm(grads))
-                if gnorm > cfg.clip_norm:
-                    grads *= cfg.clip_norm / gnorm
-                    logger.info(
-                        "epoch %d sample %d: gradient norm %.3g clipped to %.3g",
-                        epoch,
-                        idx,
-                        gnorm,
-                        cfg.clip_norm,
-                    )
+            gnorm = float(np.linalg.norm(grads))
+            if gnorm > cfg.clip_norm:
+                grads *= cfg.clip_norm / gnorm
+                logger.info(
+                    "epoch %d sample %d: gradient norm %.3g clipped to %.3g",
+                    epoch,
+                    idx,
+                    gnorm,
+                    cfg.clip_norm,
+                )
             z, adam = adam_step(z, grads, adam, lr_vec, cfg)
             params = NetParams.from_flat(arch, z[:-1])
             gamma = float(z[-1])

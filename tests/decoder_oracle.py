@@ -27,16 +27,16 @@ def upsample(x):
     return x
 
 
-def concat_decoder_forward(skip, h, w, b, pad_mode):
+def concat_decoder_forward(skip, h, w, b):
     """conv(concat(skip, upsample(h)), w) + b, built at the fine resolution."""
-    return _conv_forward(np.concatenate([skip, upsample(h)], axis=0), w, b, pad_mode)
+    return _conv_forward(np.concatenate([skip, upsample(h)], axis=0), w, b)
 
 
-def concat_decoder_vjp(g, skip, h, w, pad_mode):
+def concat_decoder_vjp(g, skip, h, w):
     """(gskip, gh, gw, gb) of concat_decoder_forward: the conv VJP on the
     concatenation, split, with the upsample's adjoint summing each 2^d block."""
     x = np.concatenate([skip, upsample(h)], axis=0)
-    gx, gw, gb = _conv_vjp(g, x, w, pad_mode)
+    gx, gw, gb = _conv_vjp(g, x, w)
     c_skip = skip.shape[0]
     gh = reshape_mean_pool(gx[c_skip:]) * 2 ** (h.ndim - 1)
     return gx[:c_skip], gh, gw, gb

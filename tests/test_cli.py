@@ -473,6 +473,24 @@ def test_checkpoint_sidecar_n_params_mismatch_exits_3(train_dir, fan_scan, tmp_p
     assert "n_params" in capsys.readouterr().err
 
 
+def test_checkpoint_sidecar_with_the_old_batch_size_field(train_dir, fan_scan, tmp_path, capsys):
+    # sidecars written while TrainConfig had a batch_size field hold it as 1:
+    # they reconstruct as before; any other value, or the old clip_norm null,
+    # is malformed
+    ckpt = saved_checkpoint(train_dir, tmp_path)
+    sidecar = ckpt.parent / "checkpoint.ckpt.json"
+    doc = json.loads(sidecar.read_text())
+    assert reconstruct_node_from(ckpt, fan_scan, tmp_path / "new") == 0
+    for fields, code in [
+        ({"batch_size": 1}, 0), ({"batch_size": 2}, 3), ({"clip_norm": None}, 3)
+    ]:
+        sidecar.write_text(json.dumps({**doc, "train": {**doc["train"], **fields}}))
+        assert reconstruct_node_from(ckpt, fan_scan, tmp_path / "old") == code
+    assert "checkpoint.ckpt.json" in capsys.readouterr().err
+    old, new = (tmp_path / side / "recon_node.ctv" for side in ("old", "new"))
+    assert old.read_bytes() == new.read_bytes()
+
+
 def test_fdk_rejects_fan_data(fan_scan, tmp_path, capsys):
     code = cli(
         "reconstruct", "--method", "fdk",
@@ -795,11 +813,13 @@ def test_train_missing_data_file_exits_2(train_dir, tmp_path, capsys):
         ("train_cfg", {"gamma_init": math.nan}),
         ("train_cfg", {"lr_gamma": math.inf}),
         ("train_cfg", {"init_window": "shepp-logan"}),
+        ("train_cfg", {"batch_size": 1}),
+        ("train_cfg", {"clip_norm": None}),
     ],
     ids=[
         "ode-t_end-inf", "ode-lam-nan", "train-epochs-float", "train-seed-float",
         "train-gamma_init-negative", "train-gamma_init-nan", "train-lr_gamma-inf",
-        "train-init_window-unknown",
+        "train-init_window-unknown", "train-batch_size", "train-clip_norm-null",
     ],
 )
 def test_train_config_value_rejected_before_training_exits_2(

@@ -2,11 +2,11 @@
 
 Gradient correctness is checked against central finite differences of the
 scalar loss <c, N(x)> in random directions, for parameters and for the
-input, across 2D, 3D, instance-norm and periodic-padding variants.  Forward
-behavior is pinned with a hand-built identity configuration and a
-periodic-padding shift-equivariance check.
+input, across 2D, 3D and instance-norm variants.  Forward behavior is
+pinned with a hand-built identity configuration.
 """
 
+import dataclasses
 import struct
 import tracemalloc
 
@@ -38,6 +38,10 @@ from tomoflow.network import (
 )
 
 from decoder_oracle import concat_decoder_forward, concat_decoder_vjp, reshape_mean_pool
+
+# every conv pads with zeros; the tests of padded convs name that rule in
+# their ids
+zero_padding = pytest.mark.parametrize("padding", ["zeros"])
 
 
 def unzero_projection(params, seed):
@@ -98,18 +102,6 @@ def test_hand_built_identity_configuration():
     assert np.array_equal(out, x)
 
 
-def test_periodic_padding_gives_even_shift_equivariance():
-    params = unzero_projection(init_params(NetArch(), 3), 9)
-    x = np.random.default_rng(4).normal(0.0, 1.0, (16, 16))
-
-    y, _ = net_apply_array(params, x, pad_mode="periodic")
-    y_shifted, _ = net_apply_array(
-        params, np.roll(x, (2, 4), axis=(0, 1)), pad_mode="periodic"
-    )
-    # shifts by multiples of the pooling factor commute with the whole net
-    assert np.max(np.abs(y_shifted - np.roll(y, (2, 4), axis=(0, 1)))) < 1e-12
-
-
 def test_output_shape_matches_input_shape():
     params = unzero_projection(init_params(NetArch(), 0), 1)
     x = np.random.default_rng(2).normal(0.0, 1.0, (12, 16))
@@ -119,24 +111,24 @@ def test_output_shape_matches_input_shape():
 # --- gradients ---
 
 
-def directional_fd_errors(arch, shape, seed, pad_mode="zeros", n_dirs=4, h=1e-6):
+def directional_fd_errors(arch, shape, seed, n_dirs=4, h=1e-6):
     """Worst relative FD mismatch over random directions, (params, input)."""
     params = unzero_projection(init_params(arch, seed), seed + 100)
     rng = np.random.default_rng(seed + 1)
     x = rng.normal(0.0, 1.0, shape)
     c = rng.normal(0.0, 1.0, shape)
 
-    _, tape = net_apply_array(params, x, pad_mode)
+    _, tape = net_apply_array(params, x)
     grads, gx = net_vjp_array(params, tape, c)
     gflat = grads.flatten()
     theta = params.flatten()
 
     def loss_theta(vec):
         net = NetParams.from_flat(arch, vec)
-        return float(np.sum(c * net_apply_array(net, x, pad_mode)[0]))
+        return float(np.sum(c * net_apply_array(net, x)[0]))
 
     def loss_x(values):
-        return float(np.sum(c * net_apply_array(params, values, pad_mode)[0]))
+        return float(np.sum(c * net_apply_array(params, values)[0]))
 
     worst_p = worst_x = 0.0
     for k in range(n_dirs):
@@ -158,17 +150,17 @@ def test_gradients_match_finite_differences_single_level():
     assert err_x < 1e-6
 
 
-@pytest.mark.parametrize("pad_mode", ["zeros", "periodic"])
-def test_gradients_match_finite_differences_default_arch(pad_mode):
-    err_p, err_x = directional_fd_errors(NetArch(), (8, 8), 1, pad_mode)
+@zero_padding
+def test_gradients_match_finite_differences_default_arch(padding):
+    err_p, err_x = directional_fd_errors(NetArch(), (8, 8), 1)
     assert err_p < 1e-6
     assert err_x < 1e-6
 
 
-@pytest.mark.parametrize("pad_mode", ["zeros", "periodic"])
-def test_gradients_match_finite_differences_3d(pad_mode):
+@zero_padding
+def test_gradients_match_finite_differences_3d(padding):
     err_p, err_x = directional_fd_errors(
-        NetArch(n_levels=2, base_channels=2, dims=3), (4, 4, 4), 2, pad_mode
+        NetArch(n_levels=2, base_channels=2, dims=3), (4, 4, 4), 2
     )
     assert err_p < 1e-6
     assert err_x < 1e-6
@@ -194,34 +186,25 @@ def test_gradients_match_finite_differences_three_levels_with_instance_norm(dims
     assert err_x < 1e-6
 
 
-def test_periodic_gradients_when_kernel_radius_exceeds_a_side():
-    # radius 3 against the 2x2 bottom level: the padding wraps more than once
-    err_p, err_x = directional_fd_errors(
-        NetArch(n_levels=2, base_channels=2, kernel_size=7), (4, 4), 4, "periodic"
-    )
-    assert err_p < 1e-6
-    assert err_x < 1e-6
-
-
-@pytest.mark.parametrize("pad_mode", ["zeros", "periodic"])
+@zero_padding
 @pytest.mark.parametrize(
     "c_in, c_out, k, spatial",
     [(3, 2, 3, (6, 5)), (2, 4, 5, (4, 6)), (2, 3, 1, (4, 4)), (2, 3, 3, (4, 3, 5))],
 )
-def test_conv_input_gradient_is_the_exact_adjoint(pad_mode, c_in, c_out, k, spatial):
+def test_conv_input_gradient_is_the_exact_adjoint(padding, c_in, c_out, k, spatial):
     rng = np.random.default_rng(15)
     w = rng.normal(0.0, 1.0, (c_out, c_in) + (k,) * len(spatial))
     x = rng.normal(0.0, 1.0, (c_in,) + spatial)
     gy = rng.normal(0.0, 1.0, (c_out,) + spatial)
-    y = _conv_forward(x, w, np.zeros(c_out), pad_mode)
-    gx, _, _ = _conv_vjp(gy, x, w, pad_mode)
+    y = _conv_forward(x, w, np.zeros(c_out))
+    gx, _, _ = _conv_vjp(gy, x, w)
     assert abs(np.sum(y * gy) - np.sum(x * gx)) < 1e-12 * np.sum(np.abs(y * gy))
 
 
-@pytest.mark.parametrize("pad_mode", ["zeros", "periodic"])
+@zero_padding
 @pytest.mark.parametrize("k", [1, 3, 5])
 @pytest.mark.parametrize("spatial", [(5, 4), (5, 3, 4)])
-def test_row_slabs_match_a_single_slab(monkeypatch, pad_mode, k, spatial):
+def test_row_slabs_match_a_single_slab(monkeypatch, padding, k, spatial):
     rng = np.random.default_rng(16)
     c_in = c_out = 2
     kernel = (k,) * len(spatial)
@@ -231,7 +214,7 @@ def test_row_slabs_match_a_single_slab(monkeypatch, pad_mode, k, spatial):
     gy = rng.normal(0.0, 1.0, (c_out,) + spatial)
 
     def conv_and_vjp():
-        return (_conv_forward(x, w, b, pad_mode),) + _conv_vjp(gy, x, w, pad_mode)
+        return (_conv_forward(x, w, b),) + _conv_vjp(gy, x, w)
 
     monkeypatch.setattr(network, "_PATCH_BYTES", 2**40)
     assert _row_slabs(x, w) == [(0, 5)]
@@ -255,11 +238,9 @@ def test_row_slabs_match_a_single_slab(monkeypatch, pad_mode, k, spatial):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def shifted(x, shift, pad_mode):
+def shifted(x, shift):
     """x moved so that out[j] = x[j + shift] on every spatial axis; sites
-    beyond the edge read zero, or wrap around for periodic padding."""
-    if pad_mode == "periodic":
-        return np.roll(x, [-s for s in shift], axis=tuple(range(1, x.ndim)))
+    beyond the edge read zero."""
     out = np.zeros_like(x)
     dst, src = [slice(None)], [slice(None)]
     for s, n in zip(shift, x.shape[1:]):
@@ -269,7 +250,7 @@ def shifted(x, shift, pad_mode):
     return out
 
 
-def direct_conv_and_vjp(x, w, b, gy, pad_mode):
+def direct_conv_and_vjp(x, w, b, gy):
     """Same-padded correlation as a sum over all k^d taps of shifted inputs,
     with its kernel and input gradients tap by tap."""
     c_out, c_in, *k = w.shape
@@ -279,34 +260,34 @@ def direct_conv_and_vjp(x, w, b, gy, pad_mode):
     for tap in np.ndindex(*k):
         shift = [t - ki // 2 for t, ki in zip(tap, k)]
         wt = w[(slice(None), slice(None)) + tap]
-        xs = shifted(x, shift, pad_mode)
+        xs = shifted(x, shift)
         y += np.tensordot(wt, xs, axes=(1, 0))
         gw[(slice(None), slice(None)) + tap] = np.tensordot(
             gy, xs, axes=(range(1, x.ndim), range(1, x.ndim))
         )
-        gx += shifted(np.tensordot(wt, gy, axes=(0, 0)), [-s for s in shift], pad_mode)
+        gx += shifted(np.tensordot(wt, gy, axes=(0, 0)), [-s for s in shift])
     return y, gx, gw, gy.reshape(c_out, -1).sum(axis=1)
 
 
-@pytest.mark.parametrize("pad_mode", ["zeros", "periodic"])
+@zero_padding
 @pytest.mark.parametrize("k", [1, 3, 5])
 @pytest.mark.parametrize(
     "c_in, c_out, spatial",
     [(1, 3, (6, 5)), (4, 2, (5, 6)), (1, 2, (4, 3, 5)), (3, 2, (5, 4, 3)), (2, 4, (3, 5, 4))],
 )
-def test_conv_matches_a_direct_shifted_sum(monkeypatch, pad_mode, k, c_in, c_out, spatial):
+def test_conv_matches_a_direct_shifted_sum(monkeypatch, padding, k, c_in, c_out, spatial):
     rng = np.random.default_rng(18)
     w = rng.normal(0.0, 1.0, (c_out, c_in) + (k,) * len(spatial))
     b = rng.normal(0.0, 1.0, c_out)
     x = rng.normal(0.0, 1.0, (c_in,) + spatial)
     gy = rng.normal(0.0, 1.0, (c_out,) + spatial)
-    want = direct_conv_and_vjp(x, w, b, gy, pad_mode)
+    want = direct_conv_and_vjp(x, w, b, gy)
     # one slab under the default budget, then one row per slab
     for budget, n_slabs in ((network._PATCH_BYTES, 1), (1, spatial[0])):
         monkeypatch.setattr(network, "_PATCH_BYTES", budget)
         assert len(_row_slabs(x, w)) == n_slabs
-        y = _conv_forward(x, w, b, pad_mode)
-        gx, gw, gb = _conv_vjp(gy, x, w, pad_mode)
+        y = _conv_forward(x, w, b)
+        gx, gw, gb = _conv_vjp(gy, x, w)
         for got, ref in zip((y, gx, gw, gb), want):
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -315,14 +296,14 @@ def test_conv_matches_a_direct_shifted_sum(monkeypatch, pad_mode, k, c_in, c_out
 # --- the decoder at the coarse resolution ---
 
 
-@pytest.mark.parametrize("pad_mode", ["zeros", "periodic"])
+@zero_padding
 @pytest.mark.parametrize("k", [1, 3, 5, 7])
 @pytest.mark.parametrize(
     # coarse sides 1 and 2 are below the radius of a 5x5 or 7x7 kernel, so the
     # parity kernel's padding is wider than the map it pads
     "spatial", [(1, 2), (3, 4), (2, 2, 2), (1, 3, 2)], ids=["2d-1x2", "2d-3x4", "3d-2", "3d-1x3x2"]
 )
-def test_decoder_matches_the_concatenation_oracle(pad_mode, k, spatial):
+def test_decoder_matches_the_concatenation_oracle(padding, k, spatial):
     rng = np.random.default_rng(19)
     c_skip, c_up, c_out = 2, 3, 4
     fine = tuple(2 * s for s in spatial)
@@ -332,19 +313,15 @@ def test_decoder_matches_the_concatenation_oracle(pad_mode, k, spatial):
     b = rng.normal(0.0, 1.0, c_out)
     g = rng.normal(0.0, 1.0, (c_out,) + fine)
 
-    want = (concat_decoder_forward(skip, h, w, b, pad_mode),) + concat_decoder_vjp(
-        g, skip, h, w, pad_mode
-    )
-    got = (_decoder_conv_forward(skip, h, w, b, pad_mode),) + _decoder_conv_vjp(
-        g, skip, h, w, pad_mode
-    )
+    want = (concat_decoder_forward(skip, h, w, b),) + concat_decoder_vjp(g, skip, h, w)
+    got = (_decoder_conv_forward(skip, h, w, b),) + _decoder_conv_vjp(g, skip, h, w)
     # forward, gskip, gh, kernel gradient, bias gradient
     for a, ref in zip(got, want):
         assert a.shape == ref.shape
         assert np.max(np.abs(a - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     single = lambda a: a.astype(np.float32)
-    got32 = _decoder_conv_forward(single(skip), single(h), single(w), single(b), pad_mode)
+    got32 = _decoder_conv_forward(single(skip), single(h), single(w), single(b))
     assert got32.dtype == np.float32
     assert np.max(np.abs(got32 - want[0])) <= 1e-6 * np.max(np.abs(want[0]))
 
@@ -387,9 +364,9 @@ def test_float32_forward_computes_in_float32(monkeypatch, dims, side):
     seen = []
     conv = network._conv_forward
 
-    def recording_conv(x, w, b, pad_mode):
+    def recording_conv(x, w, b):
         seen.append((x.dtype, w.dtype))
-        return conv(x, w, b, pad_mode)
+        return conv(x, w, b)
 
     monkeypatch.setattr(network, "_conv_forward", recording_conv)
     params = unzero_projection(init_params(NetArch(n_levels=3, dims=dims), 0), 1)
@@ -455,7 +432,7 @@ def test_row_slabs_count_the_itemsize(c_in, c_out, k, side):
 
     def slab_bytes(x, w):
         """(rows, patch-matrix plus GEMM-output bytes) of each slab as built."""
-        xp = network._pad_input(x, kernel, "zeros")
+        xp = network._pad_input(x, kernel)
         out = []
         for r0, r1 in _row_slabs(x, w):
             patches = network._patch_matrix(xp, kernel, r0, r1)
@@ -506,9 +483,15 @@ def test_dimensionality_mismatch_is_rejected():
         net_apply_array(params, np.zeros((4, 4, 4)))
 
 
-def test_unknown_pad_mode_is_rejected():
-    with pytest.raises(ValueError):
-        net_apply_array(init_params(NetArch(), 0), np.zeros((8, 8)), pad_mode="zero")
+def test_instance_norm_needs_more_than_one_bottom_site():
+    # a norm over one site outputs its shift for any input: the gradient of
+    # this net on 4^3 missed finite differences by 0.09 to 3.8 relative
+    arch = NetArch(n_levels=3, base_channels=2, dims=3, instance_norm=True)
+    with pytest.raises(ShapeMismatchError, match="one site"):
+        net_apply_array(init_params(arch, 0), np.zeros((4, 4, 4)))
+    assert net_apply_array(init_params(arch, 0), np.zeros((8, 8, 8)))[0].shape == (8, 8, 8)
+    plain = dataclasses.replace(arch, instance_norm=False)
+    assert net_apply_array(init_params(plain, 0), np.zeros((4, 4, 4)))[0].shape == (4, 4, 4)
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,6 @@ from tomoflow import (
     make_phantom,
     psnr,
     rmse,
-    shepp_logan_value,
     simulate_measurement,
     ssim,
 )
@@ -75,11 +74,6 @@ def test_shepp_logan_matches_pointwise_ellipse_sum():
         uy = grid.axis_centers(1)[j] * 2.0 / 65.0
         expected = lo + ellipse_sum(ux, uy) * (hi - lo) / 2.0
         assert ph.values[i, j] == pytest.approx(expected, abs=1e-15)
-
-
-def test_shepp_logan_value_scalar_probe():
-    assert shepp_logan_value(0.0, 0.0) == pytest.approx(1.02, abs=1e-15)
-    assert shepp_logan_value(1.5, 0.0) == 0.0
 
 
 def test_phantoms_are_deterministic_and_seed_sensitive():

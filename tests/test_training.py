@@ -8,6 +8,7 @@ history file byte for byte.
 """
 
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -239,9 +240,9 @@ def test_training_runs_the_network_in_float64(monkeypatch):
     seen = []
     apply, vjp = ode.net_apply_array, ode.net_vjp_array
 
-    def recording_apply(params, x, pad_mode="zeros"):
+    def recording_apply(params, x):
         seen.append(("apply", params.dtype, x.dtype))
-        return apply(params, x, pad_mode)
+        return apply(params, x)
 
     def recording_vjp(params, tape, gy):
         seen.append(("vjp", params.dtype, gy.dtype))
@@ -547,6 +548,27 @@ def test_broken_checkpoint_sidecar_is_rejected(tmp_path, text):
         load_checkpoint(path)
 
 
+def test_checkpoint_sidecar_with_the_old_batch_size_field_loads(tmp_path):
+    # every train section written while TrainConfig had a batch_size field
+    # holds it, as 1
+    written = {
+        "epochs": 3, "batch_size": 1, "lr_net": 2e-3, "lr_gamma": 5e-3, "beta1": 0.8,
+        "beta2": 0.99, "eps": 1e-7, "seed": 9, "gamma_init": 0.02, "clip_norm": 0.5,
+        "init_window": "hann",
+    }
+    path = tmp_path / "model.bin"
+    save_checkpoint(hand_checkpoint(), path)
+    sidecar = tmp_path / "model.bin.json"
+    doc = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps({**doc, "train": written}))
+    loaded = dataclasses.asdict(load_checkpoint(path).train_cfg)
+    assert loaded == {k: v for k, v in written.items() if k != "batch_size"}
+    for fields in ({"batch_size": 2}, {"clip_norm": None}):
+        sidecar.write_text(json.dumps({**doc, "train": {**written, **fields}}))
+        with pytest.raises(DataFormatError, match="sidecar"):
+            load_checkpoint(path)
+
+
 def test_checkpoint_sidecar_n_params_must_match_the_parameter_file(tmp_path):
     path = tmp_path / "model.bin"
     ck = hand_checkpoint()
@@ -635,7 +657,7 @@ def test_datasets_are_validated():
     "kwargs,field",
     [
         ({"epochs": 0}, "epochs"),
-        ({"batch_size": 2}, "batch_size"),
+        ({"clip_norm": None}, "clip_norm"),
         ({"lr_net": 0.0}, "lr_net"),
         ({"lr_gamma": -1.0}, "lr_gamma"),
         ({"beta1": 1.0}, "beta1"),
