@@ -24,12 +24,11 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .geometry import VolumeGrid
-from .projector import BoundProjector, Sinogram, Volume, bind, op_norm_estimate
+from .projector import Sinogram, Volume, bind, op_norm_estimate
 
 
 @dataclass

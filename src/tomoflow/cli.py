@@ -51,18 +51,20 @@ from .network import NetArch, init_params
 from .ode import OdeConfig, reconstruct_node
 from .phantoms import NoiseModel, PhantomSpec, make_phantom, simulate_measurement
 from .projector import Volume
-from .training import (
-    Checkpoint,
-    TrainConfig,
-    fov_mask,
-    load_checkpoint,
-    save_checkpoint,
-    train,
-)
+from .training import TrainConfig, fov_mask, load_checkpoint, save_checkpoint, train
 
 logger = logging.getLogger(__name__)
 
-METHODS = ("fbp", "fdk", "sirt", "tv", "node")
+# the reconstruct manifest keys each method reads, beyond the ones that every
+# manifest records; the keys are the names of the command-line values
+METHOD_KEYS = {
+    "fbp": ("window",),
+    "fdk": ("window",),
+    "sirt": ("iters",),
+    "tv": ("iters", "tv_weight", "step_size", "tv_eps"),
+    "node": ("window", "checkpoint", "untrained", "gamma", "solve_log"),
+}
+METHODS = tuple(METHOD_KEYS)
 
 
 def _load_config(path) -> dict:
@@ -271,18 +273,10 @@ def cmd_reconstruct(args) -> int:
         "sinogram": str(args.sinogram),
         "reference": str(args.reference) if args.reference else None,
         "grid": {"shape": list(grid.shape), "voxel_size": grid.voxel_size},
-        "window": args.window,
-        "iters": args.iters,
-        "tv_weight": args.tv_weight,
-        "step_size": args.step_size,
-        "tv_eps": args.tv_eps,
-        "checkpoint": str(args.checkpoint) if args.checkpoint else None,
-        "untrained": args.untrained,
-        "gamma": args.gamma,
-        "solve_log": str(args.solve_log) if args.solve_log else None,
         "fov_mask": not args.no_fov_mask,
         "outputs": outputs,
     }
+    manifest.update((key, getattr(args, key)) for key in METHOD_KEYS[args.method])
     write_manifest(out / f"manifest_{args.method}.json", manifest)
     print(f"wrote {recon_name} to {out}")
     return 0

@@ -1,10 +1,10 @@
 """Trainable regularizer network with hand-written vector-Jacobian products.
 
 A small encoder-decoder convolutional net, dimension-generic over 2D and 3D:
-conv -> (optional instance norm) -> ReLU blocks, 2x average-pool downsampling,
-nearest-neighbour 2x upsampling, encoder-decoder skip connections by channel
-concatenation, and a final 1x1 projection.  The projection layer initializes
-to exact zeros so an untrained network is the zero map.
+conv -> ReLU blocks, 2x average-pool downsampling, nearest-neighbour 2x
+upsampling, encoder-decoder skip connections by channel concatenation, and a
+final 1x1 projection.  The projection layer initializes to exact zeros so an
+untrained network is the zero map.
 
 Neither the upsampled map nor the concatenation is ever built.  A decoder
 conv of concat(skip, upsample(h)) is the conv of the skip channels plus, for
@@ -36,10 +36,9 @@ adjoint folds into it, and the kernel gradient unfolds through the transpose
 of the 0/1 map.  Pooling's adjoint adds g / 2^d into each strided view.
 ReLU uses the subgradient 0 at exactly 0.  Padding is zero ("same").
 
-Parameters live in per-kind tensor lists (kernels, biases, norm scales and
-shifts) and flatten to a single vector, the one the optimizer and the
-checkpoint format use.  Its order is written once, in _layout: per conv,
-kernel, bias, then instance-norm scale and shift when enabled.  from_flat,
+Parameters live in per-kind tensor lists (kernels and biases) and flatten
+to a single vector, the one the optimizer and the checkpoint format use.  Its
+order is written once, in _layout: per conv, kernel then bias.  from_flat,
 flatten, init_params and the VJP's gradient all walk it.
 """
 
@@ -55,10 +54,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .dataio import read_record, record_values, write_record
 from .errors import DataFormatError, ShapeMismatchError
 
-_NORM_VAR_FLOOR = 1e-5
-
 PARAMS_MAGIC = b"CTNP"
-# version, n_levels, base_channels, kernel_size, dims, instance_norm
+# version, n_levels, base_channels, kernel_size, dims, and a word that is
+# always 0: it held an instance_norm flag, so a file with 1 there has norm
+# parameters this network does not have
 PARAMS_HEADER = "<6I"
 
 
@@ -68,15 +67,13 @@ class NetArch:
 
     n_levels is the encoder depth: n_levels - 1 pooled encoder stages plus a
     bottom stage.  Channel width doubles per level from base_channels.
-    Spatial input sides must be divisible by 2^(n_levels - 1); with
-    instance_norm, the pooled bottom level must have more than one site.
+    Spatial input sides must be divisible by 2^(n_levels - 1).
     """
 
     n_levels: int = 2
     base_channels: int = 4
     kernel_size: int = 3
     dims: int = 2
-    instance_norm: bool = False
 
     def __post_init__(self):
         if not isinstance(self.n_levels, int) or self.n_levels < 1:
@@ -99,34 +96,31 @@ class NetArch:
         return 2 ** (self.n_levels - 1)
 
 
-def _conv_plan(arch: NetArch) -> list[tuple[int, int, tuple[int, ...], bool]]:
-    """Per-conv (c_in, c_out, kernel shape, is_projection) in forward order."""
+def _conv_plan(arch: NetArch) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Per-conv (c_in, c_out, kernel shape) in forward order."""
     k = (arch.kernel_size,) * arch.dims
     width = lambda lvl: arch.base_channels * 2**lvl
     plan = []
     prev = 1
     for lvl in range(arch.n_levels - 1):
-        plan.append((prev, width(lvl), k, False))
+        plan.append((prev, width(lvl), k))
         prev = width(lvl)
-    plan.append((prev, width(arch.n_levels - 1), k, False))
+    plan.append((prev, width(arch.n_levels - 1), k))
     cur = width(arch.n_levels - 1)
     for lvl in reversed(range(arch.n_levels - 1)):
-        plan.append((cur + width(lvl), width(lvl), k, False))
+        plan.append((cur + width(lvl), width(lvl), k))
         cur = width(lvl)
-    plan.append((cur, 1, (1,) * arch.dims, True))
+    plan.append((cur, 1, (1,) * arch.dims))
     return plan
 
 
 @functools.cache
 def _layout(arch: NetArch) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """(NetParams list name, shape) of every tensor in flat-vector order: per
-    conv of _conv_plan its kernel and bias, then its instance-norm scale and
-    shift when enabled; the projection has no norm."""
+    conv of _conv_plan its kernel and bias."""
     layout = []
-    for c_in, c_out, k, is_proj in _conv_plan(arch):
+    for c_in, c_out, k in _conv_plan(arch):
         layout += [("weights", (c_out, c_in) + k), ("biases", (c_out,))]
-        if arch.instance_norm and not is_proj:
-            layout += [("norm_scales", (c_out,)), ("norm_shifts", (c_out,))]
     return tuple(layout)
 
 
@@ -142,8 +136,6 @@ class NetParams:
     arch: NetArch
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    norm_scales: list[np.ndarray] | None = None
-    norm_shifts: list[np.ndarray] | None = None
 
     @property
     def n_params(self) -> int:
@@ -156,14 +148,8 @@ class NetParams:
 
     def astype(self, dtype) -> "NetParams":
         """A copy with every tensor cast to dtype."""
-        cast = lambda tensors: None if tensors is None else [t.astype(dtype) for t in tensors]
-        return NetParams(
-            self.arch,
-            cast(self.weights),
-            cast(self.biases),
-            cast(self.norm_scales),
-            cast(self.norm_shifts),
-        )
+        cast = lambda tensors: [t.astype(dtype) for t in tensors]
+        return NetParams(self.arch, cast(self.weights), cast(self.biases))
 
     def flatten(self) -> np.ndarray:
         """Single parameter vector; inverse of from_flat.  Reads the lists as
@@ -191,7 +177,7 @@ class NetParams:
 
 
 def init_params(arch: NetArch, seed: int) -> NetParams:
-    """He-initialized hidden layers, unit norm scales, everything else zero.
+    """He-initialized hidden kernels, everything else zero.
 
     The exactly-zero final projection makes the untrained network the zero
     map, so it has no influence on the dynamics until training moves it.
@@ -200,8 +186,6 @@ def init_params(arch: NetArch, seed: int) -> NetParams:
     params = NetParams.from_flat(arch, np.zeros(_n_params(arch)))
     for w in params.weights[:-1]:
         w[...] = rng.normal(0.0, np.sqrt(2.0 / w[0].size), w.shape)
-    for scale in params.norm_scales or ():
-        scale[...] = 1.0
     return params
 
 
@@ -380,28 +364,6 @@ def _decoder_conv_vjp(g, skip, h, w):
     return gskip, gh, gw, gb
 
 
-def _instance_norm_forward(x, scale, shift):
-    spatial_axes = tuple(range(1, x.ndim))
-    mu = x.mean(axis=spatial_axes, keepdims=True)
-    var = x.var(axis=spatial_axes, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _NORM_VAR_FLOOR)
-    xhat = (x - mu) * inv
-    bcast = (slice(None),) + (None,) * (x.ndim - 1)
-    return scale[bcast] * xhat + shift[bcast], xhat, inv
-
-
-def _instance_norm_vjp(gy, xhat, inv, scale):
-    spatial_axes = tuple(range(1, gy.ndim))
-    bcast = (slice(None),) + (None,) * (gy.ndim - 1)
-    gshift = gy.sum(axis=spatial_axes)
-    gscale = (gy * xhat).sum(axis=spatial_axes)
-    gxhat = gy * scale[bcast]
-    mean_g = gxhat.mean(axis=spatial_axes, keepdims=True)
-    mean_gx = (gxhat * xhat).mean(axis=spatial_axes, keepdims=True)
-    gx = inv * (gxhat - mean_g - xhat * mean_gx)
-    return gx, gscale, gshift
-
-
 # ---------------------------------------------------------------------------
 # full network walk
 
@@ -417,13 +379,6 @@ def _check_input_shape(arch: NetArch, shape: tuple[int, ...]):
             raise ShapeMismatchError(
                 f"input sides must be divisible by {factor}, got shape {shape}"
             )
-    # a norm over one site outputs its shift whatever the input, so the
-    # bottom block would carry nothing and its ReLU would sit on the kink
-    if arch.instance_norm and all(s == factor for s in shape):
-        raise ShapeMismatchError(
-            f"instance norm needs a bottom level of more than one site; shape {shape} "
-            f"pooled by {factor} leaves one"
-        )
 
 
 def net_apply_array(params: NetParams, x: np.ndarray):
@@ -435,7 +390,6 @@ def net_apply_array(params: NetParams, x: np.ndarray):
     arch = params.arch
     x = np.asarray(x, dtype=params.dtype)
     _check_input_shape(arch, x.shape)
-    use_norm = arch.instance_norm
     levels = arch.n_levels
 
     def block(h, idx, skip=None):
@@ -444,14 +398,7 @@ def net_apply_array(params: NetParams, x: np.ndarray):
             z = _conv_forward(h, w, b)
         else:
             z = _decoder_conv_forward(skip, h, w, b)
-        cache = {"x": h, "skip": skip}
-        if use_norm:
-            z, xhat, inv = _instance_norm_forward(
-                z, params.norm_scales[idx], params.norm_shifts[idx]
-            )
-            cache["xhat"], cache["inv"] = xhat, inv
-        cache["active"] = z > 0
-        return np.maximum(z, 0.0), cache
+        return np.maximum(z, 0.0), {"x": h, "skip": skip, "active": z > 0}
 
     h = x[None]
     tape = {"blocks": []}
@@ -478,7 +425,6 @@ def net_apply_array(params: NetParams, x: np.ndarray):
 def net_vjp_array(params: NetParams, tape, gy: np.ndarray):
     """Backward pass from a forward tape: returns (grad NetParams, grad input)."""
     arch = params.arch
-    use_norm = arch.instance_norm
     levels = arch.n_levels
     grads = NetParams.from_flat(arch, np.zeros(_n_params(arch)))
 
@@ -486,10 +432,6 @@ def net_vjp_array(params: NetParams, tape, gy: np.ndarray):
         """(input gradient, skip gradient or None) of block idx."""
         cache = tape["blocks"][idx]
         g = g * cache["active"]
-        if use_norm:
-            g, grads.norm_scales[idx][...], grads.norm_shifts[idx][...] = _instance_norm_vjp(
-                g, cache["xhat"], cache["inv"], params.norm_scales[idx]
-            )
         w = params.weights[idx]
         if cache["skip"] is None:
             gx, grads.weights[idx][...], grads.biases[idx][...] = _conv_vjp(g, cache["x"], w)
@@ -531,13 +473,7 @@ def net_vjp_array(params: NetParams, tape, gy: np.ndarray):
 def save_net_params(path, params: NetParams) -> None:
     """Write parameters as a single binary file."""
     arch = params.arch
-    fields = (
-        arch.n_levels,
-        arch.base_channels,
-        arch.kernel_size,
-        arch.dims,
-        1 if arch.instance_norm else 0,
-    )
+    fields = (arch.n_levels, arch.base_channels, arch.kernel_size, arch.dims, 0)
     write_record(path, PARAMS_MAGIC, PARAMS_HEADER, fields, params.flatten(), "<f8")
 
 
@@ -545,20 +481,17 @@ def load_net_params(path) -> NetParams:
     (n_levels, base_channels, kernel_size, dims, norm), payload = read_record(
         path, PARAMS_MAGIC, PARAMS_HEADER
     )
-    if norm not in (0, 1):
-        raise DataFormatError(f"{path}: instance_norm word must be 0 or 1, got {norm}")
+    if norm != 0:
+        raise DataFormatError(
+            f"{path}: instance_norm word must be 0, got {norm}; this network has no "
+            "instance norm"
+        )
     # the bottom conv alone has 2^(n_levels - 1) biases; a larger word would
     # make _n_params count with huge integers before the payload check
     if n_levels > len(payload).bit_length():
         raise DataFormatError(f"{path}: {n_levels} levels need more parameters than the file holds")
     try:
-        arch = NetArch(
-            n_levels=n_levels,
-            base_channels=base_channels,
-            kernel_size=kernel_size,
-            dims=dims,
-            instance_norm=bool(norm),
-        )
+        arch = NetArch(n_levels, base_channels, kernel_size, dims)
     except ValueError as exc:
         raise DataFormatError(f"{path}: header holds no valid architecture: {exc}") from exc
     return NetParams.from_flat(arch, record_values(path, payload, _n_params(arch), "<f8"))

@@ -45,14 +45,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ShapeMismatchError
-from .geometry import (
-    FULL_TURN,
-    ConeGeometry,
-    FanGeometry,
-    Geometry,
-    VolumeGrid,
-    ray_bundle,
-)
+from .geometry import FULL_TURN, Geometry, VolumeGrid, ray_bundle
 
 def get_default_threads() -> int:
     """The projector's thread count: always 1, since its mat-vec is single-threaded."""

@@ -175,8 +175,8 @@ class TrainConfig:
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(name, f"must be in [0, 1), got {getattr(self, name)}")
-        if self.clip_norm is None or not self.clip_norm > 0:
-            raise ConfigError("clip_norm", f"must be > 0, got {self.clip_norm}")
+        if self.clip_norm is None or not (math.isfinite(self.clip_norm) and self.clip_norm > 0):
+            raise ConfigError("clip_norm", f"must be finite and > 0, got {self.clip_norm}")
 
 
 @dataclass

@@ -10,6 +10,7 @@ import csv
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -463,6 +464,24 @@ def test_checkpoint_with_out_of_range_arch_word_exits_3(train_dir, fan_scan, tmp
     assert "checkpoint.ckpt" in capsys.readouterr().err
 
 
+def test_checkpoint_written_with_instance_norm_exits_3(train_dir, fan_scan, tmp_path, capsys):
+    # the files as a network with instance norm wrote them: norm word 1 and a
+    # unit scale and zero shift after the 2-channel bottom conv's bias, ahead
+    # of the 1x1 projection's 3 values; no optimizer state
+    ckpt = saved_checkpoint(train_dir, tmp_path)
+    (ckpt.parent / "checkpoint.ckpt.opt.bin").unlink()
+    raw = ckpt.read_bytes()
+    flat = np.frombuffer(raw[28:], "<f8")
+    normed = np.concatenate([flat[:-3], [1.0, 1.0, 0.0, 0.0], flat[-3:]]).astype("<f8")
+    ckpt.write_bytes(raw[:24] + struct.pack("<I", 1) + normed.tobytes())
+    sidecar = ckpt.parent / "checkpoint.ckpt.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "n_params": normed.size}))
+    assert reconstruct_node_from(ckpt, fan_scan, tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert "checkpoint.ckpt" in err and "instance_norm word" in err
+    assert not (tmp_path / "out" / "recon_node.ctv").exists()
+
+
 def test_checkpoint_sidecar_n_params_mismatch_exits_3(train_dir, fan_scan, tmp_path, capsys):
     ckpt = saved_checkpoint(train_dir, tmp_path)
     sidecar = ckpt.parent / "checkpoint.ckpt.json"
@@ -482,7 +501,10 @@ def test_checkpoint_sidecar_with_the_old_batch_size_field(train_dir, fan_scan, t
     doc = json.loads(sidecar.read_text())
     assert reconstruct_node_from(ckpt, fan_scan, tmp_path / "new") == 0
     for fields, code in [
-        ({"batch_size": 1}, 0), ({"batch_size": 2}, 3), ({"clip_norm": None}, 3)
+        ({"batch_size": 1}, 0),
+        ({"batch_size": 2}, 3),
+        ({"clip_norm": None}, 3),
+        ({"clip_norm": math.inf}, 3),
     ]:
         sidecar.write_text(json.dumps({**doc, "train": {**doc["train"], **fields}}))
         assert reconstruct_node_from(ckpt, fan_scan, tmp_path / "old") == code
@@ -561,6 +583,41 @@ def test_iterative_methods_smoke(fan_scan, tmp_path, method):
     assert 0.0 < report["ssim"] <= 1.0
     man = json.loads((tmp_path / f"manifest_{method}.json").read_text())
     assert man["iters"] == 10
+
+
+@pytest.mark.parametrize(
+    "method, scan, grid, extra, own",
+    [
+        ("fbp", "fan_scan", "32,32", (), {"window": "hann"}),
+        ("fdk", "cone_scan", "16,16,16", ("--window", "ram-lak"), {"window": "ram-lak"}),
+        ("sirt", "fan_scan", "32,32", ("--iters", "3"), {"iters": 3}),
+        (
+            "tv", "fan_scan", "32,32", ("--iters", "3", "--tv-eps", "0.01"),
+            {"iters": 3, "tv_weight": 1e-4, "step_size": None, "tv_eps": 0.01},
+        ),
+        (
+            "node", "fan_scan", "32,32", ("--untrained",),
+            {"window": "hann", "checkpoint": None, "untrained": True, "gamma": 0.01,
+             "solve_log": None},
+        ),
+    ],
+    ids=["fbp", "fdk", "sirt", "tv", "node"],
+)
+def test_reconstruct_manifest_records_only_what_the_method_reads(
+    request, tmp_path, method, scan, grid, extra, own
+):
+    sinogram = request.getfixturevalue(scan) / "sinogram.cts"
+    assert cli(
+        "reconstruct", "--method", method, *extra,
+        "--sinogram", sinogram, "--grid-shape", grid, "--out", tmp_path,
+    ) == 0
+    man = json.loads((tmp_path / f"manifest_{method}.json").read_text())
+    common = {
+        "command", "version", "method", "sinogram", "reference", "grid", "fov_mask", "outputs"
+    }
+    assert set(man) == common | set(own)
+    assert {key: man[key] for key in own} == own
+    assert man["sinogram"] == str(sinogram) and man["reference"] is None
 
 
 @pytest.mark.parametrize(
@@ -815,11 +872,14 @@ def test_train_missing_data_file_exits_2(train_dir, tmp_path, capsys):
         ("train_cfg", {"init_window": "shepp-logan"}),
         ("train_cfg", {"batch_size": 1}),
         ("train_cfg", {"clip_norm": None}),
+        ("train_cfg", {"clip_norm": math.inf}),
+        ("arch", {"instance_norm": True}),
     ],
     ids=[
         "ode-t_end-inf", "ode-lam-nan", "train-epochs-float", "train-seed-float",
         "train-gamma_init-negative", "train-gamma_init-nan", "train-lr_gamma-inf",
         "train-init_window-unknown", "train-batch_size", "train-clip_norm-null",
+        "train-clip_norm-inf", "arch-instance_norm",
     ],
 )
 def test_train_config_value_rejected_before_training_exits_2(

@@ -2,11 +2,10 @@
 
 Gradient correctness is checked against central finite differences of the
 scalar loss <c, N(x)> in random directions, for parameters and for the
-input, across 2D, 3D and instance-norm variants.  Forward behavior is
+input, across 2D, 3D and three-level variants.  Forward behavior is
 pinned with a hand-built identity configuration.
 """
 
-import dataclasses
 import struct
 import tracemalloc
 
@@ -80,11 +79,6 @@ def test_default_architecture_parameter_count():
     params = init_params(NetArch(), 0)
     assert params.n_params == 777
     assert params.flatten().size == 777
-
-
-def test_instance_norm_adds_scale_and_shift_per_hidden_conv():
-    params = init_params(NetArch(instance_norm=True), 0)
-    assert params.n_params == 777 + 2 * (4 + 8 + 4)
 
 
 def test_hand_built_identity_configuration():
@@ -166,21 +160,13 @@ def test_gradients_match_finite_differences_3d(padding):
     assert err_x < 1e-6
 
 
-def test_gradients_match_finite_differences_with_instance_norm():
-    err_p, err_x = directional_fd_errors(NetArch(instance_norm=True), (8, 8), 3)
-    assert err_p < 1e-6
-    assert err_x < 1e-6
-
-
 @pytest.mark.parametrize(
     "dims, shape", [(2, (8, 8)), (3, (8, 8, 8))], ids=["2d", "3d"]
 )
-def test_gradients_match_finite_differences_three_levels_with_instance_norm(dims, shape):
+def test_gradients_match_finite_differences_three_levels(dims, shape):
     # two decoders: the skip gradient of each level and the coarse gradient
-    # of the parity conv both reach the input.  The bottom level keeps 2
-    # sites per axis: a norm over one site outputs its shift exactly, 0 at
-    # init, and the FD step straddles the ReLU kink there
-    arch = NetArch(n_levels=3, base_channels=2, dims=dims, instance_norm=True)
+    # of the parity conv both reach the input
+    arch = NetArch(n_levels=3, base_channels=2, dims=dims)
     err_p, err_x = directional_fd_errors(arch, shape, 6)
     assert err_p < 1e-6
     assert err_x < 1e-6
@@ -399,9 +385,8 @@ def test_3d_network_memory_is_bounded():
     assert vjp_peak <= 24 * 2**20
 
 
-@pytest.mark.parametrize("instance_norm", [False, True])
-def test_float32_forward_matches_float64(instance_norm):
-    params = unzero_projection(init_params(NetArch(dims=3, instance_norm=instance_norm), 0), 1)
+def test_float32_forward_matches_float64():
+    params = unzero_projection(init_params(NetArch(dims=3), 0), 1)
     x = np.random.default_rng(18).uniform(0.0, 1.0, (32, 32, 32))
     want, _ = net_apply_array(params, x)
     got, tape = net_apply_array(params.astype(np.float32), x)
@@ -411,7 +396,7 @@ def test_float32_forward_matches_float64(instance_norm):
 
 
 def test_astype_copies_every_tensor():
-    params = init_params(NetArch(instance_norm=True), 0)
+    params = init_params(NetArch(n_levels=3, base_channels=2), 0)
     single = params.astype(np.float32)
     assert single.dtype == np.float32 and params.dtype == np.float64
     assert single.n_params == params.n_params
@@ -483,15 +468,15 @@ def test_dimensionality_mismatch_is_rejected():
         net_apply_array(params, np.zeros((4, 4, 4)))
 
 
-def test_instance_norm_needs_more_than_one_bottom_site():
-    # a norm over one site outputs its shift for any input: the gradient of
-    # this net on 4^3 missed finite differences by 0.09 to 3.8 relative
-    arch = NetArch(n_levels=3, base_channels=2, dims=3, instance_norm=True)
-    with pytest.raises(ShapeMismatchError, match="one site"):
-        net_apply_array(init_params(arch, 0), np.zeros((4, 4, 4)))
-    assert net_apply_array(init_params(arch, 0), np.zeros((8, 8, 8)))[0].shape == (8, 8, 8)
-    plain = dataclasses.replace(arch, instance_norm=False)
-    assert net_apply_array(init_params(plain, 0), np.zeros((4, 4, 4)))[0].shape == (4, 4, 4)
+def test_three_level_3d_network_runs_on_a_one_site_bottom():
+    # 4^3 pooled twice leaves one bottom site: the smallest input this
+    # architecture takes
+    params = unzero_projection(init_params(NetArch(n_levels=3, base_channels=2, dims=3), 0), 1)
+    x = np.random.default_rng(23).normal(0.0, 1.0, (4, 4, 4))
+    out, tape = net_apply_array(params, x)
+    assert out.shape == (4, 4, 4) and np.all(np.isfinite(out))
+    grads, gx = net_vjp_array(params, tape, np.ones((4, 4, 4)))
+    assert gx.shape == (4, 4, 4) and np.all(np.isfinite(grads.flatten()))
 
 
 @pytest.mark.parametrize(
@@ -514,7 +499,7 @@ def test_arch_rejects_bad_values(kwargs):
 
 
 def test_flatten_from_flat_round_trip():
-    for arch in (NetArch(), NetArch(n_levels=3, base_channels=2, instance_norm=True)):
+    for arch in (NetArch(), NetArch(n_levels=3, base_channels=2)):
         params = unzero_projection(init_params(arch, 7), 8)
         vec = params.flatten()
         rebuilt = NetParams.from_flat(arch, vec)
@@ -529,7 +514,8 @@ def test_from_flat_rejects_wrong_length():
 
 
 def test_save_load_round_trip(tmp_path):
-    arch = NetArch(n_levels=2, base_channels=3, kernel_size=3, instance_norm=True)
+    # every arch word differs from the default
+    arch = NetArch(n_levels=3, base_channels=3, kernel_size=5, dims=3)
     params = unzero_projection(init_params(arch, 11), 12)
     path = tmp_path / "net.bin"
     save_net_params(path, params)
@@ -553,33 +539,32 @@ def test_param_file_layout(tmp_path):
     assert np.array_equal(payload, params.flatten())
 
 
-def test_flat_order_is_kernel_bias_scale_shift_per_conv(tmp_path):
-    # encoder 1->2, bottom 2->4, decoder 6->2 (3x3, with norm), proj 2->1
-    # (1x1, no norm); every tensor holds its own run of values
-    arch = NetArch(n_levels=2, base_channels=2, instance_norm=True)
+def test_flat_order_is_kernel_then_bias_per_conv(tmp_path):
+    # encoders 1->2 and 2->4, bottom 4->8, decoders 12->4 and 6->2 (3x3),
+    # proj 2->1 (1x1); every tensor holds its own run of values
+    arch = NetArch(n_levels=3, base_channels=2)
     start = iter(range(0, 10**6, 1000))
     tensor = lambda *shape: next(start) + np.arange(np.prod(shape), dtype=float).reshape(shape)
-    w0, b0, s0, h0 = tensor(2, 1, 3, 3), tensor(2), tensor(2), tensor(2)
-    w1, b1, s1, h1 = tensor(4, 2, 3, 3), tensor(4), tensor(4), tensor(4)
-    w2, b2, s2, h2 = tensor(2, 6, 3, 3), tensor(2), tensor(2), tensor(2)
-    w3, b3 = tensor(1, 2, 1, 1), tensor(1)
-    expected = np.concatenate([
-        a.ravel() for a in (w0, b0, s0, h0, w1, b1, s1, h1, w2, b2, s2, h2, w3, b3)
-    ])
-    params = NetParams(arch, [w0, w1, w2, w3], [b0, b1, b2, b3], [s0, s1, s2], [h0, h1, h2])
+    kernels = [(2, 1, 3, 3), (4, 2, 3, 3), (8, 4, 3, 3), (4, 12, 3, 3), (2, 6, 3, 3), (1, 2, 1, 1)]
+    weights, biases = [], []
+    for shape in kernels:
+        weights.append(tensor(*shape))
+        biases.append(tensor(shape[0]))
+    expected = np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
+    params = NetParams(arch, weights, biases)
     assert params.n_params == expected.size
     assert np.array_equal(params.flatten(), expected)
     path = tmp_path / "net.bin"
     save_net_params(path, params)
     assert np.array_equal(np.frombuffer(path.read_bytes()[28:], dtype="<f8"), expected)
     rebuilt = NetParams.from_flat(arch, expected)
-    for name in ("weights", "biases", "norm_scales", "norm_shifts"):
+    for name in ("weights", "biases"):
         for a, b in zip(getattr(rebuilt, name), getattr(params, name), strict=True):
             assert np.array_equal(a, b)
 
 
 def test_from_flat_and_vjp_results_do_not_share_memory():
-    arch = NetArch(instance_norm=True)
+    arch = NetArch(n_levels=3, base_channels=2)
     vec = unzero_projection(init_params(arch, 2), 3).flatten()
     params = NetParams.from_flat(arch, vec)
     vec[:] = 0.0
@@ -592,14 +577,14 @@ def test_from_flat_and_vjp_results_do_not_share_memory():
     g1, _ = net_vjp_array(params, tape, np.ones_like(out))
     g2, _ = net_vjp_array(params, tape, np.ones_like(out))
     before = g2.flatten()
-    for name in ("weights", "biases", "norm_scales", "norm_shifts"):
+    for name in ("weights", "biases"):
         for g in getattr(g1, name):
             g[...] = np.nan
     assert np.array_equal(g2.flatten(), before)
 
 
 def test_rebound_projection_is_seen_by_forward_and_flatten():
-    arch = NetArch(instance_norm=True)
+    arch = NetArch(n_levels=3, base_channels=2)
     params = init_params(arch, 5)
     proj = np.random.default_rng(6).normal(0.0, 1.0, params.weights[-1].shape)
     params.weights[-1] = proj
@@ -641,15 +626,25 @@ def test_load_rejects_corrupt_files(tmp_path):
 
 @pytest.mark.parametrize(
     "offset, word",
-    [(8, 0), (8, 20000), (12, 0), (16, 2), (20, 4), (24, 2)],
-    ids=["n-levels-0", "n-levels-20000", "base-channels-0", "kernel-size-2", "dims-4", "norm-2"],
+    [(8, 0), (8, 20000), (12, 0), (16, 2), (20, 4), (24, 1)],
+    ids=["n-levels-0", "n-levels-20000", "base-channels-0", "kernel-size-2", "dims-4", "norm-1"],
 )
 def test_load_rejects_out_of_range_arch_words(tmp_path, offset, word):
-    # with instance norm on, a norm word of 2 leaves the payload length right
     path = tmp_path / "net.bin"
-    save_net_params(path, init_params(NetArch(instance_norm=True), 0))
+    save_net_params(path, init_params(NetArch(n_levels=3, base_channels=2), 0))
     raw = bytearray(path.read_bytes())
     raw[offset : offset + 4] = struct.pack("<I", word)
     path.write_bytes(bytes(raw))
     with pytest.raises(DataFormatError, match="net.bin"):
+        load_net_params(path)
+
+
+def test_load_rejects_a_file_written_with_instance_norm(tmp_path):
+    # a default-arch file with the norm word 1 holds a scale and a shift per
+    # hidden conv after its bias (777 + 2 * (4 + 8 + 4) values); this network
+    # has no norm, so loading it must fail, not drop or misplace them
+    path = tmp_path / "net.bin"
+    header = struct.pack("<4s6I", b"CTNP", 1, 2, 4, 3, 2, 1)
+    path.write_bytes(header + np.zeros(809, "<f8").tobytes())
+    with pytest.raises(DataFormatError, match="instance_norm word"):
         load_net_params(path)

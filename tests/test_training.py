@@ -563,7 +563,7 @@ def test_checkpoint_sidecar_with_the_old_batch_size_field_loads(tmp_path):
     sidecar.write_text(json.dumps({**doc, "train": written}))
     loaded = dataclasses.asdict(load_checkpoint(path).train_cfg)
     assert loaded == {k: v for k, v in written.items() if k != "batch_size"}
-    for fields in ({"batch_size": 2}, {"clip_norm": None}):
+    for fields in ({"batch_size": 2}, {"clip_norm": None}, {"clip_norm": math.inf}):
         sidecar.write_text(json.dumps({**doc, "train": {**written, **fields}}))
         with pytest.raises(DataFormatError, match="sidecar"):
             load_checkpoint(path)
@@ -675,6 +675,7 @@ def test_datasets_are_validated():
         ({"lr_gamma": math.inf}, "lr_gamma"),
         ({"eps": math.inf}, "eps"),
         ({"init_window": "shepp-logan"}, "init_window"),
+        ({"clip_norm": math.inf}, "clip_norm"),
     ],
 )
 def test_train_config_rejects_bad_values(kwargs, field):
