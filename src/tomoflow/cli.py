@@ -179,7 +179,14 @@ def _recon_grid(args, reference):
 
 
 def _reconstruct_volume(args, p, grid):
+    """The reconstruction by args.method.  Sets args.window and args.gamma to
+    the values the method used, for the manifest: where no flag gives them, a
+    node solve from a checkpoint takes the checkpoint's gamma and its
+    train.init_window (the FBP its training and validation solves started
+    from), and every other window is hann."""
     method = args.method
+    if method != "node" or args.checkpoint is None:
+        args.window = args.window or "hann"
     if method == "fbp":
         return fbp_fan(p, grid, window=args.window)
     if method == "fdk":
@@ -208,15 +215,16 @@ def _reconstruct_volume(args, p, grid):
         raise ConfigError("checkpoint", "--checkpoint and --untrained are mutually exclusive")
     if args.untrained:
         params = init_params(NetArch(dims=grid.ndim), seed=0)
-        gamma = args.gamma
         ode_cfg = OdeConfig()
     else:
         ck = load_checkpoint(args.checkpoint)
-        params = ck.params
-        gamma = ck.gamma if args.gamma is None else args.gamma
-        ode_cfg = ck.ode_cfg
+        params, ode_cfg = ck.params, ck.ode_cfg
+        if args.gamma is None:
+            args.gamma = ck.gamma
+        if args.window is None:
+            args.window = ck.train_cfg.init_window
     return reconstruct_node(
-        p, grid, params, gamma, ode_cfg, window=args.window, log_path=args.solve_log
+        p, grid, params, args.gamma, ode_cfg, window=args.window, log_path=args.solve_log
     )
 
 
@@ -402,7 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--reference", default=None, help="ground-truth volume; enables metrics output")
     sp.add_argument("--grid-shape", default=None, help="comma-separated voxel counts, e.g. 64,64")
     sp.add_argument("--voxel-size", type=float, default=1.0)
-    sp.add_argument("--window", default="hann", choices=_WINDOWS)
+    sp.add_argument(
+        "--window", default=None, choices=_WINDOWS,
+        help="FBP/FDK window (default hann; a node checkpoint's train.init_window)",
+    )
     sp.add_argument("--iters", type=int, default=None, help="iteration count for sirt/tv")
     sp.add_argument("--tv-weight", type=float, default=1e-4)
     sp.add_argument("--step-size", type=float, default=None)

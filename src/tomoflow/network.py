@@ -9,11 +9,15 @@ untrained network is the zero map.
 Neither the upsampled map nor the concatenation is ever built.  A decoder
 conv of concat(skip, upsample(h)) is the conv of the skip channels plus, for
 each of the 2^d output parities, a smaller conv of the coarse h: nearest
-upsampling followed by a conv is a sub-pixel conv.  The 2^d parity kernels
-are one folded kernel (_fold_kernel, a fixed 0/1 map of the decoder kernel),
-so the coarse part is one conv at the coarse resolution whose output groups
-add into the strided views y[:, p0::2, p1::2, ...].  Pooling likewise sums
-the 2^d strided views.
+upsampling followed by a conv is a sub-pixel conv.  Along an axis, parity
+p of a k-tap decoder reads only (k + 1)//2 coarse taps, from offset
+(p - k//2)//2 (_parity_fold): 2 of 3, so 2^d taps per parity for the 3-tap
+default.  The 2^d parity kernels are one folded kernel of that many taps
+(_fold_kernel, a fixed 0/1 map of the decoder kernel), so the coarse part is
+one conv of h at the coarse resolution, padded so that every parity's
+window fits in its output (n + 1 sites per axis for k = 3).  Parity p's
+window of its output group adds into the strided view y[:, p0::2, p1::2,
+...].  Pooling likewise sums the 2^d strided views.
 
 Everything is plain numpy, in the dtype of the parameters: float64 for
 training, the VJPs and the parameter file, and float32 for the forward
@@ -26,7 +30,10 @@ axis's k taps become extra GEMM output rows (k * c_out of them), and the
 output sums those k partial results, each shifted by its tap along the last
 axis; the k - 1 padding columns of each line are computed and dropped.  Each
 slab's patches and GEMM output together fit a fixed byte budget, so no conv
-builds its whole patch matrix.  The VJPs are the exact transposes of that
+builds its whole patch matrix.  A conv writes its padded input, patches and
+GEMM output into one workspace per thread, a byte buffer that grows to the
+largest request and is then reused, so repeated convs take no fresh pages;
+what a conv returns is always a fresh array.  The VJPs are the exact transposes of that
 linearization, built from the forward primitives: the kernel gradient is a
 sum of per-slab products of the shifted output gradient with the patches,
 the input gradient is the same conv with the kernel flipped and transposed
@@ -34,7 +41,8 @@ in (c_out, c_in).  A decoder's VJP is the VJP of its two convs: the parity
 conv's input gradient is already the coarse gradient, so the upsample's
 adjoint folds into it, and the kernel gradient unfolds through the transpose
 of the 0/1 map.  Pooling's adjoint adds g / 2^d into each strided view.
-ReLU uses the subgradient 0 at exactly 0.  Padding is zero ("same").
+ReLU uses the subgradient 0 at exactly 0.  Padding is zero: "same" for
+the network's convs, and for the parity conv whatever its windows need.
 
 Parameters live in per-kind tensor lists (kernels and biases) and flatten
 to a single vector, the one the optimizer and the checkpoint format use.  Its
@@ -46,10 +54,11 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .dataio import read_record, record_values, write_record
 from .errors import DataFormatError, ShapeMismatchError
@@ -198,88 +207,153 @@ def init_params(arch: NetArch, seed: int) -> NetParams:
 # built alone
 _PATCH_BYTES = 4 * 2**20
 
-
-def _pad_input(x: np.ndarray, k: tuple[int, ...]) -> np.ndarray:
-    if all(ki == 1 for ki in k):
-        return x
-    pads = [ki // 2 for ki in k]
-    spatial = x.shape[1:]
-    xp = np.zeros((x.shape[0],) + tuple(s + 2 * p for s, p in zip(spatial, pads)), x.dtype)
-    xp[(slice(None),) + tuple(slice(p, p + s) for s, p in zip(spatial, pads))] = x
-    return xp
+# each thread's conv workspace (_scratch)
+_workspace = threading.local()
 
 
-def _row_slabs(x: np.ndarray, w: np.ndarray) -> list[tuple[int, int]]:
+def _scratch(nbytes: int) -> np.ndarray:
+    """This thread's workspace, a byte buffer of at least nbytes.  It grows to
+    the largest request and is reused after that, so a conv takes no fresh
+    pages for its padded input, patches and GEMM output."""
+    buf = getattr(_workspace, "buf", None)
+    if buf is None or buf.size < nbytes:
+        buf = _workspace.buf = np.empty(nbytes, np.uint8)
+    return buf
+
+
+def _centred_pads(k: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """k//2 zero sites before and after each axis: "same" for an odd k."""
+    return tuple((ki // 2, ki // 2) for ki in k)
+
+
+def _conv_sides(x, k, pads):
+    """(padded sides, output sides) of a conv of x with a k kernel."""
+    padded = tuple(n + lo + hi for n, (lo, hi) in zip(x.shape[1:], pads))
+    return padded, tuple(p - ki + 1 for p, ki in zip(padded, k))
+
+
+def _row_slabs(x: np.ndarray, w: np.ndarray, pads=None) -> list[tuple[int, int]]:
     """Ranges r0:r1 of output rows (first spatial axis), at least one row
     each, whose patch matrix and GEMM output together fit _PATCH_BYTES."""
     c_out, c_in, k = w.shape[0], w.shape[1], w.shape[2:]
-    spatial = x.shape[1:]
+    padded, out = _conv_sides(x, k, pads or _centred_pads(k))
     # one column per output row, inner output site and padded last-axis site
-    row_cols = int(np.prod(spatial[1:-1])) * (spatial[-1] + k[-1] - 1)
-    rows_per_col = c_in * int(np.prod(k[:-1])) + k[-1] * c_out
+    row_cols = math.prod(out[1:-1]) * padded[-1]
+    rows_per_col = c_in * math.prod(k[:-1]) + k[-1] * c_out
     step = max(1, _PATCH_BYTES // (rows_per_col * row_cols * x.itemsize))
-    n_rows = spatial[0]
-    return [(r0, min(r0 + step, n_rows)) for r0 in range(0, n_rows, step)]
+    return [(r0, min(r0 + step, out[0])) for r0 in range(0, out[0], step)]
 
 
-def _patch_matrix(xp: np.ndarray, k: tuple[int, ...], r0: int, r1: int) -> np.ndarray:
-    """The shifted views of the padded input xp over every kernel axis but
-    the last, for output rows r0:r1 of the first spatial axis; the padded
-    last axis stays whole.  Shape (c_in * prod(k[:-1]), columns) with the
-    columns in C order over (r1 - r0, *inner spatial sides, padded last side).
+def _conv_slabs(x, w, pads):
+    """The row slabs of a conv of x with w's kernel, built in this thread's
+    workspace.  Yields (r0, r1, patches, z) per slab: the patch matrix of
+    output rows r0:r1 and the (k[-1] * c_out, columns) GEMM operand that goes
+    with it.  The padded input is written once, ahead of the slabs.
+
+    The patch matrix gathers the windows of the padded input over every
+    kernel axis but the last, with the padded last axis kept whole: shape
+    (c_in * prod(k[:-1]), columns), the columns in C order over (r1 - r0,
+    *inner output sides, padded last side).  Everything yielded is a view of
+    the workspace (or, unpadded, of x), valid until the next slab.
     """
-    inner = [n - ki + 1 for n, ki in zip(xp.shape[2:-1], k[1:-1])]
-    slab = xp[:, r0 : r1 + k[0] - 1]
-    views = sliding_window_view(slab, (r1 - r0, *inner), axis=tuple(range(1, xp.ndim - 1)))
-    # views: (c_in, *k[:-1], padded last side, r1 - r0, *inner); one copy
-    # puts the window axes back in front of the last axis
-    last = views.ndim - len(k) + 1
-    order = tuple(range(len(k))) + tuple(range(last, views.ndim)) + (len(k),)
-    return views.transpose(order).reshape(xp.shape[0] * int(np.prod(k[:-1])), -1)
+    c_out, c_in, k = w.shape[0], w.shape[1], w.shape[2:]
+    item = x.itemsize
+    padded, out = _conv_sides(x, k, pads)
+    slabs = _row_slabs(x, w, pads)
+    cols = (slabs[0][1] - slabs[0][0]) * math.prod(out[1:-1]) * padded[-1]
+    patch_rows = c_in * math.prod(k[:-1])
+    gathered = patch_rows > c_in  # else the patches are whole rows of xp
+    # byte offsets of the padded input, the patches and the GEMM operand,
+    # each 64-byte aligned
+    sizes = [
+        c_in * math.prod(padded) if any(lo or hi for lo, hi in pads) else 0,
+        patch_rows * cols if gathered else 0,
+        k[-1] * c_out * cols,
+    ]
+    offsets = [0]
+    for size in sizes:
+        offsets.append(offsets[-1] + -(-size * item // 64) * 64)
+    buf = _scratch(offsets[-1])
+    region = lambda i: buf[offsets[i] : offsets[i] + sizes[i] * item].view(x.dtype)
+
+    if sizes[0]:
+        xp = region(0).reshape((c_in,) + padded)
+        inner = tuple(slice(lo, lo + n) for n, (lo, _) in zip(x.shape[1:], pads))
+        xp[(slice(None),) + inner] = x
+        # the workspace holds stale values: zero the pad sites, axis by axis
+        for axis, (n, (lo, hi)) in enumerate(zip(x.shape[1:], pads), start=1):
+            before = (slice(None),) * axis
+            xp[before + (slice(None, lo),)] = 0
+            xp[before + (slice(lo + n, None),)] = 0
+    else:
+        xp = np.ascontiguousarray(x)
+    # windows[c, *taps, *out sites] = xp[c, *(out sites + taps)], over every
+    # axis but the last, whose padded sites stay whole
+    s = xp.strides
+    windows = as_strided(
+        xp, (c_in, *k[:-1], *out[:-1], padded[-1]), (s[0], *s[1:-1], *s[1:-1], s[-1])
+    )
+    lead = (slice(None),) * len(k)
+    for r0, r1 in slabs:
+        view = windows[lead + (slice(r0, r1),)]
+        n_cols = view.size // patch_rows
+        if gathered:
+            patches = region(1)[: view.size].reshape(view.shape)
+            patches[...] = view
+            patches = patches.reshape(patch_rows, n_cols)
+        else:
+            patches = view.reshape(patch_rows, n_cols)
+        yield r0, r1, patches, region(2)[: k[-1] * c_out * n_cols].reshape(-1, n_cols)
 
 
-def _conv_forward(x, w, b):
+def _conv_forward(x, w, b, pads=None):
+    """Correlation of x (c_in, *spatial) with w (c_out, c_in, *k), plus b,
+    over x zero-padded by pads, per axis (before, after) sites; by default
+    k//2 each side, "same" for an odd k."""
     c_out, k = w.shape[0], w.shape[2:]
-    s = x.shape[-1]
-    xp = _pad_input(x, k)
+    pads = pads or _centred_pads(k)
+    padded, out = _conv_sides(x, k, pads)
+    s = out[-1]
     # the last kernel axis's taps become GEMM output rows: z[a] is the
     # correlation over the other axes with w[..., a], and y sums z[a]
     # shifted left by a along the last axis
     ws = np.moveaxis(w, -1, 0).reshape(k[-1] * c_out, -1)
-    y = np.empty((c_out,) + x.shape[1:], x.dtype)
-    for r0, r1 in _row_slabs(x, w):
-        z = (ws @ _patch_matrix(xp, k, r0, r1)).reshape(
-            (k[-1], c_out, r1 - r0) + x.shape[2:-1] + xp.shape[-1:]
-        )
-        out = y[:, r0:r1]
-        out[...] = z[0, ..., :s]
+    y = np.empty((c_out,) + out, x.dtype)
+    for r0, r1, patches, z in _conv_slabs(x, w, pads):
+        np.matmul(ws, patches, out=z)
+        z = z.reshape((k[-1], c_out, r1 - r0) + out[1:-1] + padded[-1:])
+        dst = y[:, r0:r1]
+        dst[...] = z[0, ..., :s]
         for a in range(1, k[-1]):
-            out += z[a, ..., a : a + s]
-        del z  # else it outlives the next slab's product, over the budget
+            dst += z[a, ..., a : a + s]
     if b is not None:
         y += b.reshape((c_out,) + (1,) * (y.ndim - 1))
     return y
 
 
-def _conv_vjp(gy, x, w):
+def _conv_vjp(gy, x, w, pads=None):
+    """(gx, gw, gb) of _conv_forward(x, w, b, pads) for output gradient gy."""
     c_out, c_in, k = w.shape[0], w.shape[1], w.shape[2:]
-    s = x.shape[-1]
-    xp = _pad_input(x, k)
+    pads = pads or _centred_pads(k)
+    s = gy.shape[-1]
     gb = gy.reshape(c_out, -1).sum(axis=1)
-    gws = np.zeros((k[-1] * c_out, c_in * int(np.prod(k[:-1]))))
-    for r0, r1 in _row_slabs(x, w):
-        # adjoint of the shifted sum: gz[a, ..., j + a] = gy[..., j]
-        gz = np.zeros((k[-1], c_out, r1 - r0) + x.shape[2:-1] + xp.shape[-1:])
+    gws = np.zeros((k[-1] * c_out, c_in * math.prod(k[:-1])), x.dtype)
+    for r0, r1, patches, gz in _conv_slabs(x, w, pads):
+        # adjoint of the shifted sum: gz[a, ..., j + a] = gy[..., j], zero
+        # elsewhere
+        gz = gz.reshape((k[-1], c_out, r1 - r0) + gy.shape[2:-1] + (s + k[-1] - 1,))
         for a in range(k[-1]):
+            gz[a, ..., :a] = 0
             gz[a, ..., a : a + s] = gy[:, r0:r1]
-        gws += gz.reshape(k[-1] * c_out, -1) @ _patch_matrix(xp, k, r0, r1).T
-        del gz
-    del xp  # the input gradient does not need it; freeing it lowers the peak
+            gz[a, ..., a + s :] = 0
+        gws += gz.reshape(k[-1] * c_out, -1) @ patches.T
     gw = np.moveaxis(gws.reshape((k[-1], c_out, c_in) + k[:-1]), 0, -1)
     # the adjoint of a zero-padded correlation is the correlation with the
-    # kernel flipped spatially and transposed in (c_out, c_in)
+    # kernel flipped spatially and transposed in (c_out, c_in), padded by
+    # k - 1 - pad on the opposite sides
     w_adj = np.flip(w, axis=tuple(range(2, w.ndim))).swapaxes(0, 1)
-    gx = _conv_forward(gy, w_adj, None)
+    adj_pads = tuple((ki - 1 - lo, ki - 1 - hi) for ki, (lo, hi) in zip(k, pads))
+    gx = _conv_forward(gy, w_adj, None, adj_pads)
     return gx, gw, gb
 
 
@@ -301,29 +375,58 @@ def _avgpool_forward(x):
     return y
 
 
+def _parity_offsets(k: int) -> tuple[int, int]:
+    """Along an axis, the coarse offset of the first tap that parity 0 and
+    parity 1 of a k-tap decoder read (see _parity_fold)."""
+    return (-(k // 2)) // 2, (1 - k // 2) // 2
+
+
 @functools.cache
 def _parity_fold(k: int, dims: int) -> np.ndarray:
     """The 0/1 map Q from a k^d kernel on the 2x nearest-upsampled map to the
-    2^d parity kernels on the coarse map, shape (2,)*d + (kc,)*d + (k,)*d.
+    2^d parity kernels on the coarse map, shape (2,)*d + (kp,)*d + (k,)*d
+    with kp = (k + 1)//2.
 
     Along an axis, output site 2m + p reads the upsampled map at
-    2m + p + t - k//2, which is coarse site m + (p + t - k//2) // 2, so fine
-    tap t of parity p lands on coarse tap (p + t - k//2) // 2 + kc//2.
+    2m + p + t - k//2, which is coarse site m + (p + t - k//2) // 2.  Over the
+    k fine taps t these are the kp coarse sites from m + o_p on, where
+    o_p = (p - k//2) // 2 (_parity_offsets), so fine tap t of parity p lands
+    on coarse tap (p + t - k//2) // 2 - o_p, and every coarse tap is read.
     """
     r = k // 2
-    rc = (r + 1) // 2
-    q = np.zeros((2,) * dims + (2 * rc + 1,) * dims + (k,) * dims)
+    offsets = _parity_offsets(k)
+    q = np.zeros((2,) * dims + ((k + 1) // 2,) * dims + (k,) * dims)
     for parity in np.ndindex(*(2,) * dims):
         for tap in np.ndindex(*(k,) * dims):
-            coarse = tuple((p + t - r) // 2 + rc for p, t in zip(parity, tap))
+            coarse = tuple((p + t - r) // 2 - offsets[p] for p, t in zip(parity, tap))
             q[parity + coarse + tap] = 1.0
     q.setflags(write=False)  # the cache hands the same array to every caller
     return q
 
 
+def _parity_windows(k: int, coarse: tuple[int, ...]):
+    """The padding of the parity conv of a k-tap decoder on a coarse map of
+    sides `coarse`, and each parity's window into that conv's output, in
+    _parity_views order.
+
+    Output site j of the conv reads coarse sites j - before onward, so
+    padding by -o_0 before and o_1 + kp - 1 after gives parity p its sites
+    at j = m + o_p - o_0: n + o_1 - o_0 output sites per axis, one more than
+    the coarse side when k//2 is odd.
+    """
+    o = _parity_offsets(k)
+    pads = ((-o[0], o[1] + (k + 1) // 2 - 1),) * len(coarse)
+    windows = [
+        (slice(None),) + tuple(slice(o[p] - o[0], o[p] - o[0] + n) for p, n in zip(parity, coarse))
+        for parity in np.ndindex(*(2,) * len(coarse))
+    ]
+    return pads, windows
+
+
 def _fold_kernel(w_up):
     """The parity kernel of w_up (c_out, c_up, k, ...): shape
-    (2^d * c_out, c_up, kc, ...), output groups in _parity_views order."""
+    (2^d * c_out, c_up, kp, ...) with kp = (k + 1)//2, output groups in
+    _parity_views order."""
     d = w_up.ndim - 2
     q = _parity_fold(w_up.shape[-1], d)
     kernel = np.tensordot(w_up, q, axes=(range(2, d + 2), range(2 * d, 3 * d)))
@@ -344,12 +447,15 @@ def _unfold_gradient(g_kernel, k):
 def _decoder_conv_forward(skip, h, w, b):
     """conv(concat(skip, upsample(h)), w) + b without building either: the
     conv of the skip channels plus one parity conv of the coarse h, whose
-    2^d output groups add into the strided views of the output."""
+    2^d output groups add, each through its window, into the strided views
+    of the output."""
     c_skip = skip.shape[0]
     y = _conv_forward(skip, w[:, :c_skip], b)
-    z = _conv_forward(h, _fold_kernel(w[:, c_skip:]), None)
-    for view, group in zip(_parity_views(y), z.reshape((-1,) + y.shape[:1] + h.shape[1:])):
-        view += group
+    pads, windows = _parity_windows(w.shape[-1], h.shape[1:])
+    z = _conv_forward(h, _fold_kernel(w[:, c_skip:]), None, pads)
+    groups = z.reshape((len(windows), -1) + z.shape[1:])
+    for view, group, window in zip(_parity_views(y), groups, windows):
+        view += group[window]
     return y
 
 
@@ -358,9 +464,16 @@ def _decoder_conv_vjp(g, skip, h, w):
     resolution: the upsample's adjoint folds into the parity conv's VJP."""
     c_skip = skip.shape[0]
     gskip, gw_skip, gb = _conv_vjp(g, skip, w[:, :c_skip])
-    gz = np.stack(_parity_views(g)).reshape((-1,) + h.shape[1:])
-    gh, g_kernel, _ = _conv_vjp(gz, h, _fold_kernel(w[:, c_skip:]))
-    gw = np.concatenate([gw_skip, _unfold_gradient(g_kernel, w.shape[-1])], axis=1)
+    k = w.shape[-1]
+    pads, windows = _parity_windows(k, h.shape[1:])
+    sides = _conv_sides(h, ((k + 1) // 2,) * (h.ndim - 1), pads)[1]
+    gz = np.zeros((len(windows), g.shape[0]) + sides, g.dtype)
+    for group, view, window in zip(gz, _parity_views(g), windows):
+        group[window] = view
+    gh, g_kernel, _ = _conv_vjp(
+        gz.reshape((-1,) + sides), h, _fold_kernel(w[:, c_skip:]), pads
+    )
+    gw = np.concatenate([gw_skip, _unfold_gradient(g_kernel, k)], axis=1)
     return gskip, gh, gw, gb
 
 

@@ -438,9 +438,9 @@ def saved_checkpoint(train_dir, tmp_path):
     return tmp_path / "train" / "checkpoint.ckpt"
 
 
-def reconstruct_node_from(ckpt, fan_scan, out):
+def reconstruct_node_from(ckpt, fan_scan, out, *extra):
     return cli(
-        "reconstruct", "--method", "node", "--checkpoint", ckpt,
+        "reconstruct", "--method", "node", "--checkpoint", ckpt, *extra,
         "--sinogram", fan_scan / "sinogram.cts", "--grid-shape", "32,32", "--out", out,
     )
 
@@ -511,6 +511,39 @@ def test_checkpoint_sidecar_with_the_old_batch_size_field(train_dir, fan_scan, t
     assert "checkpoint.ckpt.json" in capsys.readouterr().err
     old, new = (tmp_path / side / "recon_node.ctv" for side in ("old", "new"))
     assert old.read_bytes() == new.read_bytes()
+
+
+def test_checkpoint_node_starts_from_the_training_window(train_dir, fan_scan, tmp_path):
+    # every training and validation solve starts from the FBP with the
+    # checkpoint's train.init_window; so does its node reconstruct, unless
+    # --window overrides it, and the manifest names the window it used
+    ckpt = saved_checkpoint(train_dir, tmp_path)
+    sidecar = ckpt.parent / "checkpoint.ckpt.json"
+    doc = json.loads(sidecar.read_text())
+    assert doc["train"]["init_window"] == "ram-lak"
+    assert reconstruct_node_from(ckpt, fan_scan, tmp_path / "ram-lak-default") == 0
+    for window in ("ram-lak", "hann"):
+        assert reconstruct_node_from(ckpt, fan_scan, tmp_path / window, "--window", window) == 0
+    sidecar.write_text(json.dumps({**doc, "train": {**doc["train"], "init_window": "hann"}}))
+    assert reconstruct_node_from(ckpt, fan_scan, tmp_path / "hann-default") == 0
+
+    def used(out):
+        man = json.loads((tmp_path / out / "manifest_node.json").read_text())
+        return man["window"], (tmp_path / out / "recon_node.ctv").read_bytes()
+
+    assert used("ram-lak-default") == used("ram-lak")
+    assert used("hann-default") == used("hann")
+    assert used("ram-lak")[0] == "ram-lak" and used("hann")[0] == "hann"
+    assert used("ram-lak")[1] != used("hann")[1]
+
+
+def test_checkpoint_node_manifest_records_the_gamma_used(train_dir, fan_scan, tmp_path):
+    ckpt = saved_checkpoint(train_dir, tmp_path)
+    assert reconstruct_node_from(ckpt, fan_scan, tmp_path / "checkpoint") == 0
+    assert reconstruct_node_from(ckpt, fan_scan, tmp_path / "flag", "--gamma", "0.02") == 0
+    gamma = lambda out: json.loads((tmp_path / out / "manifest_node.json").read_text())["gamma"]
+    assert gamma("checkpoint") == load_checkpoint(ckpt).gamma > 0.0
+    assert gamma("flag") == 0.02
 
 
 def test_fdk_rejects_fan_data(fan_scan, tmp_path, capsys):

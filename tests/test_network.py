@@ -6,7 +6,10 @@ input, across 2D, 3D and three-level variants.  Forward behavior is
 pinned with a hand-built identity configuration.
 """
 
+import math
 import struct
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -321,6 +324,22 @@ def test_parity_fold_and_its_adjoint(dims, k):
     assert np.array_equal(q.sum(axis=coarse_axes), np.ones((2,) * dims + (k,) * dims))
     assert set(np.unique(q)) <= {0.0, 1.0}
 
+    # output site 2m + p of the upsampled map's conv reads fine site
+    # 2m + p + t - k//2 at fine tap t: coarse site m + floor((p + t - k//2) / 2).
+    # A parity reads (k + 1)//2 coarse taps per axis, from (p - k//2)//2 on
+    r = k // 2
+    start = [min(math.floor((p + t - r) / 2) for t in range(k)) for p in (0, 1)]
+    assert start == [(p - r) // 2 for p in (0, 1)]
+    assert network._parity_offsets(k) == tuple(start)
+    assert q.shape == (2,) * dims + ((k + 1) // 2,) * dims + (k,) * dims
+    for parity in np.ndindex(*(2,) * dims):
+        for tap in np.ndindex(*(k,) * dims):
+            coarse = np.argwhere(q[parity + (Ellipsis,) + tap])
+            want = [math.floor((p + t - r) / 2) - start[p] for p, t in zip(parity, tap)]
+            assert coarse.tolist() == [want]
+        # every coarse tap is read: none is a structural zero
+        assert np.all(q[parity].sum(axis=coarse_axes) > 0)
+
     rng = np.random.default_rng(20)
     w = rng.normal(0.0, 1.0, (3, 2) + (k,) * dims)
     folded = _fold_kernel(w)
@@ -350,9 +369,9 @@ def test_float32_forward_computes_in_float32(monkeypatch, dims, side):
     seen = []
     conv = network._conv_forward
 
-    def recording_conv(x, w, b):
+    def recording_conv(x, w, b, *pads):
         seen.append((x.dtype, w.dtype))
-        return conv(x, w, b)
+        return conv(x, w, b, *pads)
 
     monkeypatch.setattr(network, "_conv_forward", recording_conv)
     params = unzero_projection(init_params(NetArch(n_levels=3, dims=dims), 0), 1)
@@ -408,21 +427,27 @@ def test_astype_copies_every_tensor():
 @pytest.mark.parametrize(
     "c_in, c_out, k, side",
     # the convs of NetArch(dims=3) on a 32^3 volume (the decoder's skip conv
-    # and its 2^3-parity conv of the coarse map), plus the 12-channel conv of
-    # a concatenated decoder, the only one that needs more than one slab
-    [(1, 4, 3, 32), (4, 8, 3, 16), (12, 4, 3, 32), (4, 1, 1, 32), (4, 4, 3, 32), (8, 32, 3, 16)],
+    # and its 2^3-parity conv of the coarse map: 2 taps per axis, padded by
+    # one site on each side), plus the 12-channel conv of a concatenated
+    # decoder, the only one that needs more than one slab, and the 3-tap
+    # parity conv that the 2-tap one replaced
+    [
+        (1, 4, 3, 32), (4, 8, 3, 16), (12, 4, 3, 32), (4, 1, 1, 32), (4, 4, 3, 32),
+        (8, 32, 3, 16), (8, 32, 2, 16),
+    ],
 )
 def test_row_slabs_count_the_itemsize(c_in, c_out, k, side):
     kernel = (k,) * 3
 
     def slab_bytes(x, w):
         """(rows, patch-matrix plus GEMM-output bytes) of each slab as built."""
-        xp = network._pad_input(x, kernel)
         out = []
-        for r0, r1 in _row_slabs(x, w):
-            patches = network._patch_matrix(xp, kernel, r0, r1)
-            assert patches.dtype == x.dtype
-            out.append((r1 - r0, patches.nbytes + k * c_out * patches.shape[1] * x.itemsize))
+        slabs = network._conv_slabs(x, w, network._centred_pads(kernel))
+        for (r0, r1, patches, z), want in zip(slabs, _row_slabs(x, w), strict=True):
+            assert (r0, r1) == want
+            assert patches.dtype == z.dtype == x.dtype
+            assert z.shape == (k * c_out, patches.shape[1])
+            out.append((r1 - r0, patches.nbytes + z.nbytes))
         return out
 
     x = np.zeros((c_in,) + (side,) * 3, np.float32)
@@ -648,3 +673,86 @@ def test_load_rejects_a_file_written_with_instance_norm(tmp_path):
     path.write_bytes(header + np.zeros(809, "<f8").tobytes())
     with pytest.raises(DataFormatError, match="instance_norm word"):
         load_net_params(path)
+
+
+# --- the conv workspace ---
+
+
+def test_results_never_share_the_workspace():
+    rng = np.random.default_rng(23)
+    x = rng.normal(0.0, 1.0, (2, 6, 5))
+    w = rng.normal(0.0, 1.0, (3, 2, 3, 3))
+    gy = rng.normal(0.0, 1.0, (3, 6, 5))
+    skip, h = rng.normal(0.0, 1.0, (2, 4, 6)), rng.normal(0.0, 1.0, (3, 2, 3))
+    w_dec = rng.normal(0.0, 1.0, (4, 5, 3, 3))
+    g_dec = rng.normal(0.0, 1.0, (4, 4, 6))
+    results = [
+        _conv_forward(x, w, np.ones(3)),
+        *_conv_vjp(gy, x, w),
+        _decoder_conv_forward(skip, h, w_dec, np.ones(4)),
+        *_decoder_conv_vjp(g_dec, skip, h, w_dec),
+    ]
+    copies = [r.copy() for r in results]
+    # later convs of other shapes and dtypes, large enough to grow the buffer
+    params = unzero_projection(init_params(NetArch(dims=3), 0), 1)
+    big = rng.uniform(0.0, 1.0, (16, 16, 16))
+    _, tape = net_apply_array(params, big)
+    net_vjp_array(params, tape, big)
+    net_apply_array(params.astype(np.float32), big)
+    for got, want in zip(results, copies):
+        assert not np.shares_memory(got, network._workspace.buf)
+        assert np.array_equal(got, want)
+
+
+def test_a_second_forward_reuses_the_workspace(monkeypatch):
+    monkeypatch.setattr(network, "_workspace", threading.local())
+    params = unzero_projection(init_params(NetArch(dims=3), 0), 1).astype(np.float32)
+    x = np.random.default_rng(24).uniform(0.0, 1.0, (16, 16, 16))
+    first, _ = net_apply_array(params, x)
+    buf = network._workspace.buf
+    second, _ = net_apply_array(params, x)
+    assert network._workspace.buf is buf
+    assert np.array_equal(first, second)
+
+
+def test_threads_have_their_own_workspace():
+    # a 2D and a 3D net, forward and VJP, each in two threads at once (more
+    # threads than cores, switching often); each gives what it gives run alone
+    jobs = []
+    for dims, shape in ((2, (32, 32)), (3, (16, 16, 16))):
+        params = unzero_projection(init_params(NetArch(dims=dims), dims), 1)
+        rng = np.random.default_rng(25 + dims)
+        jobs.append((params, rng.uniform(0.0, 1.0, shape), rng.normal(0.0, 1.0, shape)))
+
+    def run(params, x, gy):
+        y, tape = net_apply_array(params, x)
+        grads, gx = net_vjp_array(params, tape, gy)
+        y32, _ = net_apply_array(params.astype(np.float32), x)
+        return [y, grads.flatten(), gx, y32]
+
+    want = [run(*job) for job in jobs]
+    workers = [0, 1, 0, 1]
+    got = [[] for _ in workers]
+    start = threading.Barrier(len(workers))
+
+    def worker(i):
+        start.wait()
+        for _ in range(3):
+            got[i].append(run(*jobs[workers[i]]))
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(workers))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for job, runs in zip(workers, got):
+        assert len(runs) == 3
+        for result in runs:
+            for a, b in zip(result, want[job]):
+                assert np.array_equal(a, b)

@@ -507,6 +507,40 @@ def test_setups_without_the_symmetry_store_every_row(geom, grid):
     assert op._matrix.shape[0] == geom.n_rays
 
 
+@pytest.mark.parametrize(
+    "geom, grid, g",
+    [
+        (make_fan_geometry(31, **FAN_64), VolumeGrid((64, 64), 1.0), 1),
+        (make_fan_geometry(30, **FAN_64), VolumeGrid((64, 64), 1.0), 2),
+        (make_fan_geometry(180, **FAN_64), VolumeGrid((64, 64), 1.0), 4),
+        (make_cone_geometry(30, **CONE_16), VolumeGrid((16, 16, 16), 1.0), 2),
+        (make_cone_geometry(32, **CONE_16), VolumeGrid((16, 16, 16), 1.0), 4),
+    ],
+    ids=["fan-31-g1", "fan-30-g2", "fan-180-g4", "cone-30-g2", "cone-32-g4"],
+)
+def test_adjoint_is_the_per_block_sum_bitwise(geom, grid, g):
+    # A^T is one multi-column product M^T Y; column k must be the mat-vec
+    # M^T y_k bit for bit, summed over the blocks in order
+    op = bind(geom, grid)
+    assert op._n_blocks == g
+    y = np.random.default_rng(17).standard_normal(geom.n_rays)
+    n = op._matrix.shape[0]
+    want = (op._matrix_t @ y[:n]).reshape(grid.shape)
+    for k in range(1, g):
+        block = (op._matrix_t @ y[k * n:(k + 1) * n]).reshape(grid.shape)
+        want += np.rot90(block, 4 * k // g, axes=(0, 1))
+    before = y.copy()
+    got = op.adjoint(y)
+    assert got.shape == grid.shape and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    # it owns its data: writing to it changes neither the input nor a later
+    # result
+    assert not np.shares_memory(got, y)
+    got[...] = np.nan
+    assert np.array_equal(y, before)
+    assert op.adjoint(y).tobytes() == want.tobytes()
+
+
 def test_cache_evicts_the_least_recently_used_setup(monkeypatch):
     monkeypatch.setattr(projector, "_MATRICES", {})
     builds = []
