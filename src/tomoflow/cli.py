@@ -183,7 +183,7 @@ def _reconstruct_volume(args, p, grid):
     the values the method used, for the manifest: where no flag gives them, a
     node solve from a checkpoint takes the checkpoint's gamma and its
     train.init_window (the FBP its training and validation solves started
-    from), and every other window is hann."""
+    from), an untrained one gamma 0.01, and every other window is hann."""
     method = args.method
     if method != "node" or args.checkpoint is None:
         args.window = args.window or "hann"
@@ -204,7 +204,6 @@ def _reconstruct_volume(args, p, grid):
                 "tv_weight": args.tv_weight,
                 "step_size": args.step_size,
                 "tv_eps": args.tv_eps,
-                "nonneg": True,
             },
         )
         return tv_reconstruct(p, grid, cfg)
@@ -215,14 +214,14 @@ def _reconstruct_volume(args, p, grid):
         raise ConfigError("checkpoint", "--checkpoint and --untrained are mutually exclusive")
     if args.untrained:
         params = init_params(NetArch(dims=grid.ndim), seed=0)
-        ode_cfg = OdeConfig()
+        ode_cfg, gamma = OdeConfig(), 0.01
     else:
         ck = load_checkpoint(args.checkpoint)
-        params, ode_cfg = ck.params, ck.ode_cfg
-        if args.gamma is None:
-            args.gamma = ck.gamma
+        params, ode_cfg, gamma = ck.params, ck.ode_cfg, ck.gamma
         if args.window is None:
             args.window = ck.train_cfg.init_window
+    if args.gamma is None:
+        args.gamma = gamma
     return reconstruct_node(
         p, grid, params, args.gamma, ode_cfg, window=args.window, log_path=args.solve_log
     )
@@ -450,8 +449,6 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "untrained", False) and args.gamma is None:
-        args.gamma = 0.01
     try:
         return args.func(args)
     except DivergenceError as exc:

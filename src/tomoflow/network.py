@@ -20,9 +20,9 @@ window of its output group adds into the strided view y[:, p0::2, p1::2,
 ...].  Pooling likewise sums the 2^d strided views.
 
 Everything is plain numpy, in the dtype of the parameters: float64 for
-training, the VJPs and the parameter file, and float32 for the forward
-passes of an inference solve, which ode.reconstruct_node runs on a float32
-copy (NetParams.astype).  A convolution is one im2col GEMM per slab of
+the training sample, the VJPs and the parameter file, float32 for the
+forward passes of ode.reconstruct_node, the solve of reconstruction and
+validation (NetParams.astype).  A convolution is one im2col GEMM per slab of
 rows along the first spatial axis.  The slab's patch matrix gathers the
 shifted views of the padded input over every kernel axis but the last, with
 the padded last axis kept whole, so it has c_in * k^(d-1) rows.  The last

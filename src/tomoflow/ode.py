@@ -26,13 +26,13 @@ The dynamics is autonomous; the solver still passes t to f so the test
 harness can integrate time-dependent toy problems.
 
 Precision: the state, the projector and the RK4 arithmetic are float64.
-NodeDynamics runs the network in the dtype of the parameters it is given,
-and the network output joins the float64 rate in the sum above.  Training
-and the adjoint pass give it float64 parameters; reconstruct_node gives it
-one float32 copy per solve, which makes the network forward, most of a 3D
-solve, cheaper (BENCH_17.json has the numbers).  A state that leaves the float32 range, or drives
-the network's activations out of it, then makes the network output
-non-finite, so such a solve raises DivergenceError.
+NodeDynamics runs the network in the dtype of its parameters, and the
+network output joins the float64 rate in the sum above.  The training
+sample and its adjoint pass give it float64 parameters; reconstruct_node,
+the one forward-only solve, run by reconstruction and validation alike,
+gives it a float32 copy, a cheaper network forward (BENCH_17.json).
+A state or network activation beyond the float32 range makes the network
+output non-finite, so that solve raises DivergenceError.
 """
 
 from __future__ import annotations
@@ -94,12 +94,10 @@ class AllocationProbe:
     def __init__(self):
         self.live = 0
         self.peak = 0
-        self.total = 0
 
     def new(self, shape, dtype=np.float64) -> np.ndarray:
         arr = np.empty(shape, dtype)
         self.live += 1
-        self.total += 1
         self.peak = max(self.peak, self.live)
         weakref.finalize(arr, self._release)
         return arr

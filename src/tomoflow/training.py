@@ -4,6 +4,9 @@ Training minimizes the mean absolute reconstruction error inside the scan
 field of view, sample by sample (batch size 1): solve the reconstruction
 forward, integrate the adjoint system backward for gradients, take one Adam
 step over (theta, gamma) with separate learning rates for the two blocks.
+The sample's solve and adjoint run a float64 network.  A validation loss
+scores reconstruct_node's solve (float32 network, float64 state), and is inf
+when that solve diverges, as when its state leaves the float32 range.
 The checkpoint retained is the state with the lowest mean validation loss;
 epoch 0 (the untrained state) is eligible.  A fresh run is a resume from
 epoch 0: it builds that state's checkpoint (untrained parameters, gamma_init,
@@ -49,6 +52,7 @@ from .network import (
     save_net_params,
 )
 from .ode import NodeDynamics, OdeConfig, adjoint_backward, initial_volume, rk4_solve
+from .ode import reconstruct_node
 from .projector import Sinogram, Volume
 
 logger = logging.getLogger(__name__)
@@ -280,6 +284,7 @@ def _check_dataset(name: str, samples) -> None:
 
 
 def _sample_loss_and_grads(p, target, params, gamma, ode_cfg, window, mask):
+    # adjoint_backward needs the forward solve's float64 NodeDynamics
     dyn = NodeDynamics(p, target.grid, params, gamma, ode_cfg)
     x0 = initial_volume(p, target.grid, window)
     x_T, _ = rk4_solve(dyn, x0, ode_cfg)
@@ -290,10 +295,8 @@ def _sample_loss_and_grads(p, target, params, gamma, ode_cfg, window, mask):
 
 
 def _val_loss(p, target, params, gamma, ode_cfg, window, mask):
-    dyn = NodeDynamics(p, target.grid, params, gamma, ode_cfg)
-    x0 = initial_volume(p, target.grid, window)
     try:
-        x_T, _ = rk4_solve(dyn, x0, ode_cfg)
+        x_T = reconstruct_node(p, target.grid, params, gamma, ode_cfg, window)
     except DivergenceError:
         return math.inf
     return l1_fov_loss(x_T, target, mask)

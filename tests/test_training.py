@@ -1,10 +1,10 @@
 """Tests for the field-of-view mask, Adam, and the training loop.
 
 The loop's bookkeeping is checked against externally recomputed values:
-the epoch-0 validation row must equal a reconstruction run by hand, the
-checkpoint must hold the minimum of the history's validation column, and
-a run split by a checkpoint resume must reproduce the uninterrupted run's
-history file byte for byte.
+the epoch-0 and epoch-1 validation rows must equal reconstruct_node run by
+hand, the checkpoint must hold the minimum of the history's validation
+column, and a run split by a checkpoint resume must reproduce the
+uninterrupted run's history file byte for byte.
 """
 
 import csv
@@ -22,6 +22,7 @@ from tomoflow import (
     DataFormatError,
     DivergenceError,
     NetArch,
+    NetParams,
     NoiseModel,
     OdeConfig,
     PhantomSpec,
@@ -235,27 +236,89 @@ def test_training_is_bitwise_deterministic(tmp_path):
 
 
 def test_training_runs_the_network_in_float64(monkeypatch):
-    # inference solves use a float32 copy of the parameters; training,
-    # its validation solves and the adjoint pass must not
+    # the training sample and its adjoint pass run float64 parameters; the
+    # validation solves are reconstruct_node's, on a float32 copy
     seen = []
+    phase = ["none"]
     apply, vjp = ode.net_apply_array, ode.net_vjp_array
 
     def recording_apply(params, x):
-        seen.append(("apply", params.dtype, x.dtype))
+        seen.append((phase[0], "apply", params.dtype, x.dtype))
         return apply(params, x)
 
     def recording_vjp(params, tape, gy):
-        seen.append(("vjp", params.dtype, gy.dtype))
+        seen.append((phase[0], "vjp", params.dtype, gy.dtype))
         return vjp(params, tape, gy)
+
+    def in_phase(name, fn):
+        def run(*args):
+            phase[0] = name
+            try:
+                return fn(*args)
+            finally:
+                phase[0] = "none"
+        return run
 
     monkeypatch.setattr(ode, "net_apply_array", recording_apply)
     monkeypatch.setattr(ode, "net_vjp_array", recording_vjp)
+    monkeypatch.setattr(training, "_sample_loss_and_grads",
+                        in_phase("sample", training._sample_loss_and_grads))
+    monkeypatch.setattr(training, "_val_loss", in_phase("val", training._val_loss))
     _, _, train_set, val_set = tiny_sets()
     train(train_set, val_set, NetArch(n_levels=1, base_channels=2), OdeConfig(),
           TrainConfig(epochs=1, seed=7, lr_net=1e-3))
 
-    assert {kind for kind, _, _ in seen} == {"apply", "vjp"}
-    assert all(p == np.float64 and x == np.float64 for _, p, x in seen)
+    sample = [(kind, p, x) for ph, kind, p, x in seen if ph == "sample"]
+    val = [(kind, p, x) for ph, kind, p, x in seen if ph == "val"]
+    assert len(sample) + len(val) == len(seen)
+    assert {kind for kind, _, _ in sample} == {"apply", "vjp"}
+    assert all(p == np.float64 and x == np.float64 for _, p, x in sample)
+    # two validation passes (epochs 0 and 1) of one scan, 80 evaluations each
+    assert len(val) == 2 * 80
+    assert all(kind == "apply" and p == np.float32 and x == np.float64 for kind, p, x in val)
+
+
+def test_validation_loss_is_the_loss_of_reconstruct_node(tmp_path):
+    # after one epoch the projection layer is live, so a float64 validation
+    # solve would differ from reconstruct_node's float32-network solve
+    grid, geom, train_set, val_set = tiny_sets(n_val=2)
+    arch = NetArch(n_levels=1, base_channels=2)
+    ode_cfg = OdeConfig()
+    cfg = TrainConfig(epochs=1, seed=4, lr_net=1e-3, init_window="hann")
+    history = tmp_path / "history.csv"
+    ck = train(train_set, val_set, arch, ode_cfg, cfg, history_path=history)
+
+    params = NetParams.from_flat(arch, ck.latest_flat[:-1])
+    gamma = float(ck.latest_flat[-1])
+    assert np.any(params.weights[-1] != 0.0)
+    mask = fov_mask(grid, geom)
+    val1 = np.mean([
+        l1_fov_loss(reconstruct_node(p, grid, params, gamma, ode_cfg, window="hann"), t, mask)
+        for p, t in val_set
+    ])
+    assert float(read_history(history)[1]["mean_val_loss"]) == float(val1)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_validation_solve_beyond_float32_range_scores_inf(tmp_path):
+    # at gamma 1.0 every solve on this 16x16, 12-view scan grows past the
+    # float32 maximum while staying finite in float64; validation must not
+    # report such a solve's loss (about 1e47) as a finite number
+    geom = make_fan_geometry(12, 23, 30.0, 20.0, detector_pixel_size=1.5)
+    samples = []
+    for seed in range(4):
+        truth = make_phantom(PhantomSpec("disk_set", (16, 16), seed=seed))
+        p = simulate_measurement(truth, geom, NoiseModel("gaussian", sigma=0.01), seed=seed)
+        samples.append((p, truth))
+    history = tmp_path / "history.csv"
+    ck = train(samples[:2], samples[2:], NetArch(n_levels=1, base_channels=2), OdeConfig(),
+               TrainConfig(epochs=1, seed=3, lr_net=1e-3, gamma_init=1.0),
+               history_path=history)
+
+    rows = read_history(history)
+    assert rows[0]["epoch"] == "0"
+    assert float(rows[0]["mean_val_loss"]) == math.inf
+    assert ck.val_loss == math.inf
 
 
 def test_resumed_run_reproduces_the_uninterrupted_history(tmp_path):
