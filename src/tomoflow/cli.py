@@ -332,6 +332,16 @@ def cmd_train(args) -> int:
         history_path=out / "history.csv",
         resume_from=resume,
     )
+    if not math.isfinite(ck.val_loss):
+        # the lowest mean validation loss is inf only when a validation solve
+        # diverged at every epoch: no state is worth a checkpoint
+        raise DivergenceError(
+            ck.epoch,
+            math.inf,
+            f"selected epoch {ck.epoch} has validation loss {ck.val_loss}: a validation "
+            f"solve diverged at every epoch, so no checkpoint was written "
+            f"(history: {out / 'history.csv'})",
+        )
     save_checkpoint(ck, out / "checkpoint.ckpt")
     write_manifest(
         out / "manifest.json",

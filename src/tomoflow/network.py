@@ -33,11 +33,23 @@ slab's patches and GEMM output together fit a fixed byte budget, so no conv
 builds its whole patch matrix.  A conv writes its padded input, patches and
 GEMM output into one workspace per thread, a byte buffer that grows to the
 largest request and is then reused, so repeated convs take no fresh pages;
-what a conv returns is always a fresh array.  The VJPs are the exact transposes of that
-linearization, built from the forward primitives: the kernel gradient is a
-sum of per-slab products of the shifted output gradient with the patches,
-the input gradient is the same conv with the kernel flipped and transposed
-in (c_out, c_in).  A decoder's VJP is the VJP of its two convs: the parity
+what a conv returns is always a fresh array.
+
+What a conv does that depends only on its shapes is worked out once, as its
+plan (_conv_plan), cached per (input shape, kernel shape, padding, dtype,
+slab budget): the padded and output sides, the slabs, the workspace offsets,
+the window strides, the interior and pad-face indices and the weight
+transposes.  Each thread binds a plan's views into its workspace on first
+use: the padded input's interior and pad faces, and per slab the windows it
+gathers, where the patches go, and the GEMM operand with its per-tap views.
+So a conv runs only its numpy kernels.  The pad faces are zeroed on every
+call, since other convs write the same bytes.  When the workspace grows,
+every bound view is dropped with the old buffer, and plans bind again.
+
+The VJPs are the exact transposes of the conv's linearization, built from
+the forward primitives: the kernel gradient is a sum of per-slab products of
+the shifted output gradient with the patches, the input gradient is the same
+conv with the kernel flipped and transposed in (c_out, c_in).  A decoder's VJP is the VJP of its two convs: the parity
 conv's input gradient is already the coarse gradient, so the upsample's
 adjoint folds into it, and the kernel gradient unfolds through the transpose
 of the 0/1 map.  Pooling's adjoint adds g / 2^d into each strided view.
@@ -56,6 +68,7 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -105,7 +118,7 @@ class NetArch:
         return 2 ** (self.n_levels - 1)
 
 
-def _conv_plan(arch: NetArch) -> list[tuple[int, int, tuple[int, ...]]]:
+def _conv_shapes(arch: NetArch) -> list[tuple[int, int, tuple[int, ...]]]:
     """Per-conv (c_in, c_out, kernel shape) in forward order."""
     k = (arch.kernel_size,) * arch.dims
     width = lambda lvl: arch.base_channels * 2**lvl
@@ -126,9 +139,9 @@ def _conv_plan(arch: NetArch) -> list[tuple[int, int, tuple[int, ...]]]:
 @functools.cache
 def _layout(arch: NetArch) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """(NetParams list name, shape) of every tensor in flat-vector order: per
-    conv of _conv_plan its kernel and bias."""
+    conv of _conv_shapes its kernel and bias."""
     layout = []
-    for c_in, c_out, k in _conv_plan(arch):
+    for c_in, c_out, k in _conv_shapes(arch):
         layout += [("weights", (c_out, c_in) + k), ("biases", (c_out,))]
     return tuple(layout)
 
@@ -140,7 +153,7 @@ def _n_params(arch: NetArch) -> int:
 
 @dataclass
 class NetParams:
-    """All trainable tensors of one network, in _conv_plan order."""
+    """All trainable tensors of one network, in _conv_shapes order."""
 
     arch: NetArch
     weights: list[np.ndarray]
@@ -207,17 +220,21 @@ def init_params(arch: NetArch, seed: int) -> NetParams:
 # built alone
 _PATCH_BYTES = 4 * 2**20
 
-# each thread's conv workspace (_scratch)
+# each thread's conv workspace (_scratch) and the plan views bound into it
+# (_bound_views)
 _workspace = threading.local()
 
 
 def _scratch(nbytes: int) -> np.ndarray:
     """This thread's workspace, a byte buffer of at least nbytes.  It grows to
     the largest request and is reused after that, so a conv takes no fresh
-    pages for its padded input, patches and GEMM output."""
+    pages for its padded input, patches and GEMM output.  Growing drops every
+    view bound into the old buffer, so that nothing keeps it alive."""
     buf = getattr(_workspace, "buf", None)
     if buf is None or buf.size < nbytes:
+        _workspace.buf = _workspace.views = buf = None
         buf = _workspace.buf = np.empty(nbytes, np.uint8)
+        _workspace.views = {}
     return buf
 
 
@@ -226,144 +243,279 @@ def _centred_pads(k: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple((ki // 2, ki // 2) for ki in k)
 
 
-def _conv_sides(x, k, pads):
-    """(padded sides, output sides) of a conv of x with a k kernel."""
-    padded = tuple(n + lo + hi for n, (lo, hi) in zip(x.shape[1:], pads))
-    return padded, tuple(p - ki + 1 for p, ki in zip(padded, k))
+class _Slab(NamedTuple):
+    """Output rows r0:r1 of a conv plan, with their index into the output
+    (rows), into the windows (window), and the shapes of their patches and of
+    their GEMM operand split by last-axis tap (taps_shape)."""
+
+    r0: int
+    r1: int
+    rows: tuple
+    window: tuple
+    patch_shape: tuple[int, ...]
+    n_cols: int
+    taps_shape: tuple[int, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class _ConvPlan:
+    """Everything about a conv that depends only on its shapes (_conv_plan).
+
+    The workspace holds three regions at 64-byte aligned byte offsets: the
+    padded input, one slab's patches and one slab's GEMM operand; sizes are
+    in elements, 0 for patches that are whole rows of the padded input.
+    windows (shape window_shape, strides window_strides) is the strided view
+    of the padded input whose slabs the patches gather.  taps and margins index a slab's
+    GEMM operand, reshaped to taps_shape: per last-axis tap a, its shifted
+    window (a, ..., a:a + s), and the sites on either side of it.
+    """
+
+    padded: tuple[int, ...]
+    out: tuple[int, ...]
+    slabs: tuple[_Slab, ...]
+    sizes: tuple[int, int, int]
+    offsets: tuple[int, ...]
+    dtype: np.dtype
+    window_shape: tuple[int, ...]
+    window_strides: tuple[int, ...]
+    interior: tuple
+    faces: tuple
+    taps: tuple
+    margins: tuple
+    patch_rows: int
+    # the weight matrices: w.transpose(w_perm).reshape(ws_shape) is the
+    # forward's GEMM operand; the kernel gradient is
+    # gws.reshape(gw_shape).transpose(gw_perm); w[flip] flips the kernel
+    w_perm: tuple[int, ...]
+    ws_shape: tuple[int, int]
+    gw_shape: tuple[int, ...]
+    gw_perm: tuple[int, ...]
+    flip: tuple
+    adj_pads: tuple[tuple[int, int], ...]
+    bias_shape: tuple[int, ...]
+
+
+@functools.cache
+def _conv_plan(x_shape, w_shape, pads, dtype, budget) -> _ConvPlan:
+    """The plan of a conv of an x_shape input with a w_shape kernel, zero-
+    padded by pads (None: _centred_pads), with row slabs of at most budget
+    bytes."""
+    c_out, c_in, k = w_shape[0], w_shape[1], w_shape[2:]
+    pads = pads or _centred_pads(k)
+    dtype = np.dtype(dtype)
+    item = dtype.itemsize
+    padded = tuple(n + lo + hi for n, (lo, hi) in zip(x_shape[1:], pads))
+    out = tuple(p - ki + 1 for p, ki in zip(padded, k))
+
+    # slabs of output rows (first spatial axis), at least one row each,
+    # whose patch matrix and GEMM output together fit the budget: one column
+    # per output row, inner output site and padded last-axis site
+    row_cols = math.prod(out[1:-1]) * padded[-1]
+    patch_rows = c_in * math.prod(k[:-1])
+    step = max(1, budget // ((patch_rows + k[-1] * c_out) * row_cols * item))
+    lead = (slice(None),) * len(k)
+    slabs = []
+    for r0 in range(0, out[0], step):
+        r1 = min(r0 + step, out[0])
+        patch_shape = (c_in, *k[:-1], r1 - r0, *out[1:-1], padded[-1])
+        slabs.append(_Slab(
+            r0, r1, (slice(None), slice(r0, r1)), lead + (slice(r0, r1),), patch_shape,
+            (r1 - r0) * row_cols, (k[-1], c_out, r1 - r0, *out[1:-1], padded[-1]),
+        ))
+    cols = slabs[0].n_cols
+
+    sizes = (
+        c_in * math.prod(padded),
+        patch_rows * cols if patch_rows > c_in else 0,
+        k[-1] * c_out * cols,
+    )
+    offsets = [0]
+    for size in sizes:
+        offsets.append(offsets[-1] + -(-size * item // 64) * 64)
+
+    # windows[c, *taps, *out sites] = xp[c, *(out sites + taps)], over every
+    # axis but the last, whose padded sites stay whole; xp is C-contiguous
+    s = [item]
+    for n in reversed(padded):
+        s.insert(0, s[0] * n)
+    inner = tuple(slice(lo, lo + n) for n, (lo, _) in zip(x_shape[1:], pads))
+    faces = []
+    for axis, (n, (lo, hi)) in enumerate(zip(x_shape[1:], pads), start=1):
+        before = (slice(None),) * axis
+        faces += [before + (slice(None, lo),)] * (lo > 0)
+        faces += [before + (slice(lo + n, None),)] * (hi > 0)
+
+    width = out[-1]
+    d = len(k) + 2
+    return _ConvPlan(
+        padded=padded,
+        out=out,
+        slabs=tuple(slabs),
+        sizes=sizes,
+        offsets=tuple(offsets),
+        dtype=dtype,
+        window_shape=(c_in, *k[:-1], *out[:-1], padded[-1]),
+        window_strides=(s[0], *s[1:-1], *s[1:-1], s[-1]),
+        interior=(slice(None),) + inner,
+        faces=tuple(faces),
+        taps=tuple((a, Ellipsis, slice(a, a + width)) for a in range(k[-1])),
+        margins=tuple((a, Ellipsis, slice(None, a)) for a in range(1, k[-1]))
+        + tuple((a, Ellipsis, slice(a + width, None)) for a in range(k[-1] - 1)),
+        patch_rows=patch_rows,
+        w_perm=(d - 1, *range(d - 1)),
+        ws_shape=(k[-1] * c_out, patch_rows),
+        gw_shape=(k[-1], c_out, c_in, *k[:-1]),
+        gw_perm=(*range(1, d), 0),
+        flip=(slice(None), slice(None)) + (slice(None, None, -1),) * len(k),
+        adj_pads=tuple((ki - 1 - lo, ki - 1 - hi) for ki, (lo, hi) in zip(k, pads)),
+        bias_shape=(c_out,) + (1,) * len(k),
+    )
 
 
 def _row_slabs(x: np.ndarray, w: np.ndarray, pads=None) -> list[tuple[int, int]]:
     """Ranges r0:r1 of output rows (first spatial axis), at least one row
     each, whose patch matrix and GEMM output together fit _PATCH_BYTES."""
-    c_out, c_in, k = w.shape[0], w.shape[1], w.shape[2:]
-    padded, out = _conv_sides(x, k, pads or _centred_pads(k))
-    # one column per output row, inner output site and padded last-axis site
-    row_cols = math.prod(out[1:-1]) * padded[-1]
-    rows_per_col = c_in * math.prod(k[:-1]) + k[-1] * c_out
-    step = max(1, _PATCH_BYTES // (rows_per_col * row_cols * x.itemsize))
-    return [(r0, min(r0 + step, out[0])) for r0 in range(0, out[0], step)]
+    plan = _conv_plan(x.shape, w.shape, pads, x.dtype, _PATCH_BYTES)
+    return [(slab.r0, slab.r1) for slab in plan.slabs]
 
 
-def _conv_slabs(x, w, pads):
-    """The row slabs of a conv of x with w's kernel, built in this thread's
-    workspace.  Yields (r0, r1, patches, z) per slab: the patch matrix of
-    output rows r0:r1 and the (k[-1] * c_out, columns) GEMM operand that goes
-    with it.  The padded input is written once, ahead of the slabs.
+class _BoundSlab(NamedTuple):
+    """A slab's views into this thread's workspace: the windows its patches
+    gather, where they go (None when the patches are whole rows of the padded
+    input), the patch matrix, the GEMM operand z, and z's tap and margin
+    views."""
+
+    source: np.ndarray
+    dst: np.ndarray | None
+    patches: np.ndarray
+    z: np.ndarray
+    taps: tuple[np.ndarray, ...]
+    margins: tuple[np.ndarray, ...]
+
+
+class _Bound(NamedTuple):
+    """A plan's views into this thread's workspace: the padded input's
+    interior and pad faces, and the slabs."""
+
+    interior: np.ndarray
+    faces: tuple[np.ndarray, ...]
+    slabs: tuple[_BoundSlab, ...]
+
+
+def _bind(plan: _ConvPlan, buf: np.ndarray) -> _Bound:
+    """plan's views into buf (_Bound)."""
+    item = plan.dtype.itemsize
+    region = lambda i: buf[
+        plan.offsets[i] : plan.offsets[i] + plan.sizes[i] * item
+    ].view(plan.dtype)
+    xp = region(0).reshape((plan.window_shape[0],) + plan.padded)
+    windows = as_strided(xp, plan.window_shape, plan.window_strides)
+    slabs = []
+    for slab in plan.slabs:
+        source, dst = windows[slab.window], None
+        if plan.sizes[1]:
+            dst = region(1)[: math.prod(slab.patch_shape)].reshape(slab.patch_shape)
+            patches = dst.reshape(plan.patch_rows, slab.n_cols)
+        else:
+            # whole rows of xp, contiguous in each channel: a view of xp
+            patches = source.reshape(plan.patch_rows, slab.n_cols)
+        z = region(2)[: plan.ws_shape[0] * slab.n_cols].reshape(-1, slab.n_cols)
+        by_tap = z.reshape(slab.taps_shape)
+        slabs.append(_BoundSlab(
+            source, dst, patches, z,
+            tuple(by_tap[t] for t in plan.taps), tuple(by_tap[m] for m in plan.margins),
+        ))
+    return _Bound(xp[plan.interior], tuple(xp[face] for face in plan.faces), tuple(slabs))
+
+
+def _bound_views(plan: _ConvPlan) -> _Bound:
+    """plan's views into this thread's workspace, bound on first use."""
+    buf = _scratch(plan.offsets[-1])
+    bound = _workspace.views.get(plan)
+    if bound is None:
+        bound = _workspace.views[plan] = _bind(plan, buf)
+    return bound
+
+
+def _conv_slabs(x, plan: _ConvPlan):
+    """The row slabs of plan's conv of x, built in this thread's workspace.
+    Yields (slab, views) per slab: the plan's _Slab and its _BoundSlab views,
+    with its patches gathered.  The padded input is written once, ahead of
+    the slabs.
 
     The patch matrix gathers the windows of the padded input over every
     kernel axis but the last, with the padded last axis kept whole: shape
     (c_in * prod(k[:-1]), columns), the columns in C order over (r1 - r0,
     *inner output sides, padded last side).  Everything yielded is a view of
-    the workspace (or, unpadded, of x), valid until the next slab.
+    the workspace, valid until the next slab.
     """
-    c_out, c_in, k = w.shape[0], w.shape[1], w.shape[2:]
-    item = x.itemsize
-    padded, out = _conv_sides(x, k, pads)
-    slabs = _row_slabs(x, w, pads)
-    cols = (slabs[0][1] - slabs[0][0]) * math.prod(out[1:-1]) * padded[-1]
-    patch_rows = c_in * math.prod(k[:-1])
-    gathered = patch_rows > c_in  # else the patches are whole rows of xp
-    # byte offsets of the padded input, the patches and the GEMM operand,
-    # each 64-byte aligned
-    sizes = [
-        c_in * math.prod(padded) if any(lo or hi for lo, hi in pads) else 0,
-        patch_rows * cols if gathered else 0,
-        k[-1] * c_out * cols,
-    ]
-    offsets = [0]
-    for size in sizes:
-        offsets.append(offsets[-1] + -(-size * item // 64) * 64)
-    buf = _scratch(offsets[-1])
-    region = lambda i: buf[offsets[i] : offsets[i] + sizes[i] * item].view(x.dtype)
-
-    if sizes[0]:
-        xp = region(0).reshape((c_in,) + padded)
-        inner = tuple(slice(lo, lo + n) for n, (lo, _) in zip(x.shape[1:], pads))
-        xp[(slice(None),) + inner] = x
-        # the workspace holds stale values: zero the pad sites, axis by axis
-        for axis, (n, (lo, hi)) in enumerate(zip(x.shape[1:], pads), start=1):
-            before = (slice(None),) * axis
-            xp[before + (slice(None, lo),)] = 0
-            xp[before + (slice(lo + n, None),)] = 0
-    else:
-        xp = np.ascontiguousarray(x)
-    # windows[c, *taps, *out sites] = xp[c, *(out sites + taps)], over every
-    # axis but the last, whose padded sites stay whole
-    s = xp.strides
-    windows = as_strided(
-        xp, (c_in, *k[:-1], *out[:-1], padded[-1]), (s[0], *s[1:-1], *s[1:-1], s[-1])
-    )
-    lead = (slice(None),) * len(k)
-    for r0, r1 in slabs:
-        view = windows[lead + (slice(r0, r1),)]
-        n_cols = view.size // patch_rows
-        if gathered:
-            patches = region(1)[: view.size].reshape(view.shape)
-            patches[...] = view
-            patches = patches.reshape(patch_rows, n_cols)
-        else:
-            patches = view.reshape(patch_rows, n_cols)
-        yield r0, r1, patches, region(2)[: k[-1] * c_out * n_cols].reshape(-1, n_cols)
+    bound = _bound_views(plan)
+    bound.interior[...] = x
+    # other convs share the workspace: zero the pad faces on every call
+    for face in bound.faces:
+        face[...] = 0
+    for slab, views in zip(plan.slabs, bound.slabs):
+        if views.dst is not None:
+            views.dst[...] = views.source
+        yield slab, views
 
 
 def _conv_forward(x, w, b, pads=None):
     """Correlation of x (c_in, *spatial) with w (c_out, c_in, *k), plus b,
     over x zero-padded by pads, per axis (before, after) sites; by default
     k//2 each side, "same" for an odd k."""
-    c_out, k = w.shape[0], w.shape[2:]
-    pads = pads or _centred_pads(k)
-    padded, out = _conv_sides(x, k, pads)
-    s = out[-1]
+    plan = _conv_plan(x.shape, w.shape, pads, x.dtype, _PATCH_BYTES)
     # the last kernel axis's taps become GEMM output rows: z[a] is the
     # correlation over the other axes with w[..., a], and y sums z[a]
     # shifted left by a along the last axis
-    ws = np.moveaxis(w, -1, 0).reshape(k[-1] * c_out, -1)
-    y = np.empty((c_out,) + out, x.dtype)
-    for r0, r1, patches, z in _conv_slabs(x, w, pads):
-        np.matmul(ws, patches, out=z)
-        z = z.reshape((k[-1], c_out, r1 - r0) + out[1:-1] + padded[-1:])
-        dst = y[:, r0:r1]
-        dst[...] = z[0, ..., :s]
-        for a in range(1, k[-1]):
-            dst += z[a, ..., a : a + s]
+    ws = w.transpose(plan.w_perm).reshape(plan.ws_shape)
+    y = np.empty((w.shape[0],) + plan.out, x.dtype)
+    for slab, views in _conv_slabs(x, plan):
+        np.matmul(ws, views.patches, out=views.z)
+        dst = y[slab.rows]
+        dst[...] = views.taps[0]
+        for tap in views.taps[1:]:
+            dst += tap
     if b is not None:
-        y += b.reshape((c_out,) + (1,) * (y.ndim - 1))
+        y += b.reshape(plan.bias_shape)
     return y
 
 
 def _conv_vjp(gy, x, w, pads=None):
     """(gx, gw, gb) of _conv_forward(x, w, b, pads) for output gradient gy."""
-    c_out, c_in, k = w.shape[0], w.shape[1], w.shape[2:]
-    pads = pads or _centred_pads(k)
-    s = gy.shape[-1]
-    gb = gy.reshape(c_out, -1).sum(axis=1)
-    gws = np.zeros((k[-1] * c_out, c_in * math.prod(k[:-1])), x.dtype)
-    for r0, r1, patches, gz in _conv_slabs(x, w, pads):
+    plan = _conv_plan(x.shape, w.shape, pads, x.dtype, _PATCH_BYTES)
+    gb = gy.reshape(w.shape[0], -1).sum(axis=1)
+    gws = np.zeros(plan.ws_shape, x.dtype)
+    for slab, views in _conv_slabs(x, plan):
         # adjoint of the shifted sum: gz[a, ..., j + a] = gy[..., j], zero
         # elsewhere
-        gz = gz.reshape((k[-1], c_out, r1 - r0) + gy.shape[2:-1] + (s + k[-1] - 1,))
-        for a in range(k[-1]):
-            gz[a, ..., :a] = 0
-            gz[a, ..., a : a + s] = gy[:, r0:r1]
-            gz[a, ..., a + s :] = 0
-        gws += gz.reshape(k[-1] * c_out, -1) @ patches.T
-    gw = np.moveaxis(gws.reshape((k[-1], c_out, c_in) + k[:-1]), 0, -1)
+        for margin in views.margins:
+            margin[...] = 0
+        g = gy[slab.rows]
+        for tap in views.taps:
+            tap[...] = g
+        gws += views.z @ views.patches.T
+    gw = gws.reshape(plan.gw_shape).transpose(plan.gw_perm)
     # the adjoint of a zero-padded correlation is the correlation with the
     # kernel flipped spatially and transposed in (c_out, c_in), padded by
     # k - 1 - pad on the opposite sides
-    w_adj = np.flip(w, axis=tuple(range(2, w.ndim))).swapaxes(0, 1)
-    adj_pads = tuple((ki - 1 - lo, ki - 1 - hi) for ki, (lo, hi) in zip(k, pads))
-    gx = _conv_forward(gy, w_adj, None, adj_pads)
+    gx = _conv_forward(gy, w[plan.flip].swapaxes(0, 1), None, plan.adj_pads)
     return gx, gw, gb
+
+
+@functools.cache
+def _parity_slices(ndim: int) -> tuple[tuple[slice, ...], ...]:
+    """The indices of _parity_views for an ndim-dimensional array."""
+    return tuple(
+        (slice(None),) + tuple(slice(p, None, 2) for p in parity)
+        for parity in np.ndindex(*(2,) * (ndim - 1))
+    )
 
 
 def _parity_views(x):
     """The 2^d strided views x[:, p0::2, p1::2, ...] of a (channels, *spatial)
     array, one per parity (p0, p1, ...) in C order."""
-    return [
-        x[(slice(None),) + tuple(slice(p, None, 2) for p in parity)]
-        for parity in np.ndindex(*(2,) * (x.ndim - 1))
-    ]
+    return [x[index] for index in _parity_slices(x.ndim)]
 
 
 def _avgpool_forward(x):
@@ -404,10 +556,11 @@ def _parity_fold(k: int, dims: int) -> np.ndarray:
     return q
 
 
+@functools.cache
 def _parity_windows(k: int, coarse: tuple[int, ...]):
     """The padding of the parity conv of a k-tap decoder on a coarse map of
-    sides `coarse`, and each parity's window into that conv's output, in
-    _parity_views order.
+    sides `coarse`, each parity's window into that conv's output, in
+    _parity_views order, and the conv's output sides.
 
     Output site j of the conv reads coarse sites j - before onward, so
     padding by -o_0 before and o_1 + kp - 1 after gives parity p its sites
@@ -416,32 +569,51 @@ def _parity_windows(k: int, coarse: tuple[int, ...]):
     """
     o = _parity_offsets(k)
     pads = ((-o[0], o[1] + (k + 1) // 2 - 1),) * len(coarse)
-    windows = [
+    windows = tuple(
         (slice(None),) + tuple(slice(o[p] - o[0], o[p] - o[0] + n) for p, n in zip(parity, coarse))
         for parity in np.ndindex(*(2,) * len(coarse))
-    ]
-    return pads, windows
+    )
+    return pads, windows, tuple(n + o[1] - o[0] for n in coarse)
+
+
+@functools.cache
+def _fold_matrix(k: int, dims: int) -> np.ndarray:
+    """_parity_fold as the (k^d, 2^d * kp^d) matrix of _fold_kernel's GEMM,
+    laid out as np.tensordot lays it out, so the GEMM is the same."""
+    q = _parity_fold(k, dims)
+    m = q.transpose((*range(2 * dims, 3 * dims), *range(2 * dims))).reshape(k**dims, -1)
+    m.setflags(write=False)
+    return m
 
 
 def _fold_kernel(w_up):
     """The parity kernel of w_up (c_out, c_up, k, ...): shape
     (2^d * c_out, c_up, kp, ...) with kp = (k + 1)//2, output groups in
     _parity_views order."""
+    c_out, c_up, k = w_up.shape[0], w_up.shape[1], w_up.shape[-1]
     d = w_up.ndim - 2
-    q = _parity_fold(w_up.shape[-1], d)
-    kernel = np.tensordot(w_up, q, axes=(range(2, d + 2), range(2 * d, 3 * d)))
-    kernel = np.moveaxis(kernel, range(2, d + 2), range(d))
-    # q is float64: without the cast a float32 forward's parity conv runs in float64
-    return kernel.reshape((-1,) + kernel.shape[d + 1 :]).astype(w_up.dtype)
+    kp = ((k + 1) // 2,) * d
+    kernel = np.dot(w_up.reshape(c_out * c_up, -1), _fold_matrix(k, d))
+    # parity axes first
+    kernel = kernel.reshape((c_out, c_up) + (2,) * d + kp).transpose(
+        (*range(2, d + 2), 0, 1, *range(d + 2, 2 * d + 2))
+    )
+    # the map is float64: without the cast a float32 forward's parity conv
+    # runs in float64
+    return kernel.reshape((-1, c_up) + kp).astype(w_up.dtype, copy=False)
 
 
 def _unfold_gradient(g_kernel, k):
     """Adjoint of _fold_kernel for fine kernel size k: the gradient of w_up
     from that of its parity kernel."""
     d = g_kernel.ndim - 2
-    g_kernel = g_kernel.reshape((2,) * d + (-1,) + g_kernel.shape[1:])
-    axes = [*range(d), *range(d + 2, 2 * d + 2)]
-    return np.tensordot(g_kernel, _parity_fold(k, d), axes=(axes, range(2 * d)))
+    c_out, c_up = g_kernel.shape[0] // 2**d, g_kernel.shape[1]
+    # (c_out, c_up) first, then the parity and coarse tap axes
+    g = g_kernel.reshape((2,) * d + (c_out,) + g_kernel.shape[1:]).transpose(
+        (d, d + 1, *range(d), *range(d + 2, 2 * d + 2))
+    )
+    q = _parity_fold(k, d).reshape(-1, k**d)
+    return np.dot(g.reshape(c_out * c_up, -1), q).reshape((c_out, c_up) + (k,) * d)
 
 
 def _decoder_conv_forward(skip, h, w, b):
@@ -451,7 +623,7 @@ def _decoder_conv_forward(skip, h, w, b):
     of the output."""
     c_skip = skip.shape[0]
     y = _conv_forward(skip, w[:, :c_skip], b)
-    pads, windows = _parity_windows(w.shape[-1], h.shape[1:])
+    pads, windows, _ = _parity_windows(w.shape[-1], h.shape[1:])
     z = _conv_forward(h, _fold_kernel(w[:, c_skip:]), None, pads)
     groups = z.reshape((len(windows), -1) + z.shape[1:])
     for view, group, window in zip(_parity_views(y), groups, windows):
@@ -465,8 +637,7 @@ def _decoder_conv_vjp(g, skip, h, w):
     c_skip = skip.shape[0]
     gskip, gw_skip, gb = _conv_vjp(g, skip, w[:, :c_skip])
     k = w.shape[-1]
-    pads, windows = _parity_windows(k, h.shape[1:])
-    sides = _conv_sides(h, ((k + 1) // 2,) * (h.ndim - 1), pads)[1]
+    pads, windows, sides = _parity_windows(k, h.shape[1:])
     gz = np.zeros((len(windows), g.shape[0]) + sides, g.dtype)
     for group, view, window in zip(gz, _parity_views(g), windows):
         group[window] = view

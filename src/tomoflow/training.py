@@ -14,7 +14,8 @@ zero Adam moments, its mean validation loss) and continues from it the way
 a resumed run continues from a saved one.  A resume takes Adam's beta1,
 beta2 and eps, like its learning rates, from the running TrainConfig, not
 from the one the checkpoint records.  Gradients are clipped at a global norm
-of 1.0 as a divergence guard; every clip is logged.
+of 1.0 as a divergence guard; every clip is logged.  A norm beyond the
+float64 range is taken of the gradient over its largest entry (_clip).
 
 The loss history CSV has one row per epoch:
 epoch, mean_train_loss, mean_val_loss, gamma, adam_t.  The adam_t column is
@@ -302,6 +303,24 @@ def _val_loss(p, target, params, gamma, ode_cfg, window, mask):
     return l1_fov_loss(x_T, target, mask)
 
 
+def _clip(grads: np.ndarray, clip_norm: float) -> tuple[np.ndarray, float]:
+    """(grads scaled to a 2-norm of at most clip_norm, their 2-norm before).
+
+    The norm is taken directly wherever that is finite.  Finite entries above
+    about 1e154 overflow their sum of squares; their norm is taken of
+    grads / max|g| and scaled back, so that they are clipped, not zeroed by
+    clip_norm / inf."""
+    with np.errstate(over="ignore"):
+        gnorm = float(np.linalg.norm(grads))
+    scale = 1.0
+    if math.isinf(gnorm) and np.isfinite(grads).all():
+        scale = float(np.abs(grads).max())
+        gnorm = float(np.linalg.norm(grads / scale))
+    if scale * gnorm > clip_norm:
+        return grads / scale * (clip_norm / gnorm), scale * gnorm
+    return grads, scale * gnorm
+
+
 def _record_epoch(history_path, epoch, train_loss, val_loss, gamma, adam_t):
     """Log one epoch and append its history row, after the header in a new file."""
     if train_loss is None:
@@ -415,10 +434,8 @@ def train(
                         ) from exc
             else:
                 continue
-            grads = np.concatenate([g_theta, [g_gamma]])
-            gnorm = float(np.linalg.norm(grads))
+            grads, gnorm = _clip(np.concatenate([g_theta, [g_gamma]]), cfg.clip_norm)
             if gnorm > cfg.clip_norm:
-                grads *= cfg.clip_norm / gnorm
                 logger.info(
                     "epoch %d sample %d: gradient norm %.3g clipped to %.3g",
                     epoch,

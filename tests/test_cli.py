@@ -884,6 +884,33 @@ def test_train_resume_continues_history_and_optimizer(train_dir, tmp_path):
     assert man["resume"] == str(tmp_path / "half" / "checkpoint.ckpt")
 
 
+def test_train_exits_4_when_the_selected_validation_loss_is_not_finite(tmp_path, capsys):
+    # at gamma_init 1.0 every validation solve on this 16x16, 12-view scan
+    # leaves the float32 range and scores inf, so even the selected epoch has
+    # no finite loss; such a run must not exit 0 with a checkpoint
+    geom = make_fan_geometry(12, 23, 30.0, 20.0, detector_pixel_size=1.5)
+    entries = []
+    for seed in range(4):
+        truth = make_phantom(PhantomSpec("disk_set", (16, 16), seed=seed))
+        sino = simulate_measurement(truth, geom, NoiseModel("gaussian", sigma=0.01), seed=seed)
+        save_volume(tmp_path / f"t{seed}.ctv", truth)
+        save_sinogram(tmp_path / f"s{seed}.cts", sino)
+        entries.append({"sinogram": f"s{seed}.cts", "target": f"t{seed}.ctv"})
+    cfg = write_config(tmp_path / "cfg.json", {
+        "train": entries[:2],
+        "val": entries[2:],
+        "arch": {"n_levels": 1, "base_channels": 2},
+        "train_cfg": {"epochs": 1, "seed": 3, "lr_net": 1e-3, "gamma_init": 1.0},
+    })
+    out = tmp_path / "out"
+    assert cli("train", "--config", cfg, "--out", out) == 4
+    assert "selected epoch 0" in capsys.readouterr().err
+    rows = list(csv.DictReader((out / "history.csv").open()))
+    assert [r["epoch"] for r in rows] == ["0", "1"]
+    assert all(float(r["mean_val_loss"]) == math.inf for r in rows)
+    assert not (out / "checkpoint.ckpt").exists()
+
+
 def test_train_missing_data_file_exits_2(train_dir, tmp_path, capsys):
     doc = json.loads((train_dir / "cfg1.json").read_text())
     doc["train"][0]["sinogram"] = "nope.cts"

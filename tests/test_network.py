@@ -6,11 +6,13 @@ input, across 2D, 3D and three-level variants.  Forward behavior is
 pinned with a hand-built identity configuration.
 """
 
+import gc
 import math
 import struct
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -442,12 +444,15 @@ def test_row_slabs_count_the_itemsize(c_in, c_out, k, side):
     def slab_bytes(x, w):
         """(rows, patch-matrix plus GEMM-output bytes) of each slab as built."""
         out = []
-        slabs = network._conv_slabs(x, w, network._centred_pads(kernel))
-        for (r0, r1, patches, z), want in zip(slabs, _row_slabs(x, w), strict=True):
-            assert (r0, r1) == want
+        slabs = network._conv_slabs(
+            x, network._conv_plan(x.shape, w.shape, None, x.dtype, network._PATCH_BYTES)
+        )
+        for (slab, views), want in zip(slabs, _row_slabs(x, w), strict=True):
+            assert (slab.r0, slab.r1) == want
+            patches, z = views.patches, views.z
             assert patches.dtype == z.dtype == x.dtype
             assert z.shape == (k * c_out, patches.shape[1])
-            out.append((r1 - r0, patches.nbytes + z.nbytes))
+            out.append((slab.r1 - slab.r0, patches.nbytes + z.nbytes))
         return out
 
     x = np.zeros((c_in,) + (side,) * 3, np.float32)
@@ -712,6 +717,49 @@ def test_a_second_forward_reuses_the_workspace(monkeypatch):
     buf = network._workspace.buf
     second, _ = net_apply_array(params, x)
     assert network._workspace.buf is buf
+    assert np.array_equal(first, second)
+
+
+def test_pad_faces_are_zeroed_on_every_call(monkeypatch):
+    monkeypatch.setattr(network, "_workspace", threading.local())
+    rng = np.random.default_rng(26)
+    # grow the workspace first, so that no conv below replaces it
+    _conv_forward(rng.normal(0.0, 1.0, (4, 16, 16)), rng.normal(0.0, 1.0, (4, 4, 3, 3)), None)
+    x = rng.normal(0.0, 1.0, (2, 6, 5))
+    w = rng.normal(0.0, 1.0, (3, 2, 3, 3))
+    first = _conv_forward(x, w, np.ones(3))
+    # an unpadded 1x1 conv writes its GEMM output from offset 0, over the
+    # padded input of the first conv and its pad faces
+    _conv_forward(rng.normal(0.0, 1.0, (3, 8, 8)), rng.normal(0.0, 1.0, (4, 3, 1, 1)), None)
+    plan = network._conv_plan(x.shape, w.shape, None, x.dtype, network._PATCH_BYTES)
+    faces = network._workspace.views[plan].faces
+    assert len(faces) == 4 and all(np.all(face != 0) for face in faces)
+    assert _conv_forward(x, w, np.ones(3)).tobytes() == first.tobytes()
+
+
+def test_a_grown_workspace_releases_the_old_buffer(monkeypatch):
+    monkeypatch.setattr(network, "_workspace", threading.local())
+    rng = np.random.default_rng(27)
+    w = rng.normal(0.0, 1.0, (2, 2, 3, 3))
+    _conv_vjp(rng.normal(0.0, 1.0, (2, 4, 4)), rng.normal(0.0, 1.0, (2, 4, 4)), w)
+    old = weakref.ref(network._workspace.buf)
+    assert network._workspace.views  # views bound into the old buffer
+    _conv_forward(rng.normal(0.0, 1.0, (2, 32, 32)), w, None)
+    gc.collect()
+    assert old() is None
+
+
+def test_a_second_forward_builds_no_plan():
+    params = unzero_projection(init_params(NetArch(n_levels=3), 0), 1)
+    x = np.random.default_rng(28).uniform(0.0, 1.0, (16, 24))
+    first, tape = net_apply_array(params, x)
+    net_vjp_array(params, tape, x)
+    before = network._conv_plan.cache_info()
+    second, tape = net_apply_array(params, x)
+    net_vjp_array(params, tape, x)
+    after = network._conv_plan.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
     assert np.array_equal(first, second)
 
 

@@ -447,6 +447,30 @@ def test_a_skipped_sample_does_not_abort_the_run(monkeypatch, caplog, tmp_path):
     assert caplog.text.count("diverged again") == 2
 
 
+def test_gradients_whose_norm_overflows_are_clipped_not_zeroed(monkeypatch):
+    # finite gradients near 1e155 square past the float64 maximum, so their
+    # direct 2-norm reads inf; scaled by clip_norm / inf they were zeroed and
+    # Adam took a silent zero step
+    _, _, train_set, val_set = tiny_sets(n_train=1)
+    arch = NetArch(n_levels=1, base_channels=2)
+    n = init_params(arch, 0).n_params
+
+    def huge_gradients(*args):
+        return 0.5, np.linspace(1.0, 2.0, n) * 1e155, 1.5e155
+
+    monkeypatch.setattr(training, "_sample_loss_and_grads", huge_gradients)
+    cfg = TrainConfig(epochs=1, seed=0, lr_net=1e-3)
+    ck = train(train_set, val_set, arch, OdeConfig(), cfg)
+
+    z0 = np.concatenate([init_params(arch, cfg.seed).flatten(), [cfg.gamma_init]])
+    lrs = np.full(z0.size, cfg.lr_net)
+    lrs[-1] = cfg.lr_gamma
+    # Adam's first step moves each entry against its gradient's sign by its
+    # learning rate, up to eps over the clipped entry (Kingma & Ba)
+    assert ck.adam.t == 1
+    assert np.allclose(ck.latest_flat - z0, -lrs, rtol=1e-6, atol=0.0)
+
+
 def test_checkpoint_round_trip(tmp_path):
     _, _, train_set, val_set = tiny_sets()
     arch = NetArch(n_levels=1, base_channels=2)
