@@ -11,7 +11,7 @@ conv of concat(skip, upsample(h)) is the conv of the skip channels plus, for
 each of the 2^d output parities, a smaller conv of the coarse h: nearest
 upsampling followed by a conv is a sub-pixel conv.  Along an axis, parity
 p of a k-tap decoder reads only (k + 1)//2 coarse taps, from offset
-(p - k//2)//2 (_parity_fold): 2 of 3, so 2^d taps per parity for the 3-tap
+(p - k//2)//2 (_fold_matrix): 2 of 3, so 2^d taps per parity for the 3-tap
 default.  The 2^d parity kernels are one folded kernel of that many taps
 (_fold_kernel, a fixed 0/1 map of the decoder kernel), so the coarse part is
 one conv of h at the coarse resolution, padded so that every parity's
@@ -35,24 +35,23 @@ GEMM output into one workspace per thread, a byte buffer that grows to the
 largest request and is then reused, so repeated convs take no fresh pages;
 what a conv returns is always a fresh array.
 
-What a conv does that depends only on its shapes is worked out once, as its
-plan (_conv_plan), cached per (input shape, kernel shape, padding, dtype,
-slab budget): the padded and output sides, the slabs, the workspace offsets,
-the window strides, the interior and pad-face indices and the weight
-transposes.  Each thread binds a plan's views into its workspace on first
-use: the padded input's interior and pad faces, and per slab the windows it
-gathers, where the patches go, and the GEMM operand with its per-tap views.
-So a conv runs only its numpy kernels.  The pad faces are zeroed on every
-call, since other convs write the same bytes.  When the workspace grows,
-every bound view is dropped with the old buffer, and plans bind again.
+Each thread keeps, next to its workspace, one record per conv (_conv),
+keyed by (input shape, kernel shape, padding, dtype, slab budget) and built
+on first use: the output sides, the slabs, the kernel's GEMM layout, and the
+views into the workspace: the padded input's interior and pad faces, and per
+slab the windows it gathers, where the patches go, and the GEMM operand with
+its per-tap views.  So a conv runs only its numpy kernels.  The pad faces are
+zeroed on every call, since other convs write the same bytes.  When the
+workspace grows, every record is dropped with the old buffer and built again
+on its next use.
 
 The VJPs are the exact transposes of the conv's linearization, built from
 the forward primitives: the kernel gradient is a sum of per-slab products of
 the shifted output gradient with the patches, the input gradient is the same
-conv with the kernel flipped and transposed in (c_out, c_in).  A decoder's VJP is the VJP of its two convs: the parity
-conv's input gradient is already the coarse gradient, so the upsample's
-adjoint folds into it, and the kernel gradient unfolds through the transpose
-of the 0/1 map.  Pooling's adjoint adds g / 2^d into each strided view.
+conv with the kernel flipped and transposed in (c_out, c_in).  A decoder's
+VJP is the VJP of its two convs: the parity conv's input gradient is already
+the coarse gradient, so the upsample's adjoint folds into it, and the kernel
+gradient unfolds through the transpose of the 0/1 map.  Pooling's adjoint adds g / 2^d into each strided view.
 ReLU uses the subgradient 0 at exactly 0.  Padding is zero: "same" for
 the network's convs, and for the parity conv whatever its windows need.
 
@@ -98,19 +97,17 @@ class NetArch:
     dims: int = 2
 
     def __post_init__(self):
-        if not isinstance(self.n_levels, int) or self.n_levels < 1:
+        # a bool is an int, but a JSON true is no count
+        count = lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1
+        if not count(self.n_levels):
             raise ValueError(f"n_levels must be an integer >= 1, got {self.n_levels!r}")
-        if not isinstance(self.base_channels, int) or self.base_channels < 1:
+        if not count(self.base_channels):
             raise ValueError(
                 f"base_channels must be an integer >= 1, got {self.base_channels!r}"
             )
-        if (
-            not isinstance(self.kernel_size, int)
-            or self.kernel_size < 1
-            or self.kernel_size % 2 == 0
-        ):
+        if not count(self.kernel_size) or self.kernel_size % 2 == 0:
             raise ValueError(f"kernel_size must be odd, got {self.kernel_size!r}")
-        if self.dims not in (2, 3):
+        if not count(self.dims) or self.dims not in (2, 3):
             raise ValueError(f"dims must be 2 or 3, got {self.dims!r}")
 
     @property
@@ -146,6 +143,7 @@ def _layout(arch: NetArch) -> tuple[tuple[str, tuple[int, ...]], ...]:
     return tuple(layout)
 
 
+@functools.cache
 def _n_params(arch: NetArch) -> int:
     """Length of the flat parameter vector of arch."""
     return sum(math.prod(shape) for _, shape in _layout(arch))
@@ -220,22 +218,9 @@ def init_params(arch: NetArch, seed: int) -> NetParams:
 # built alone
 _PATCH_BYTES = 4 * 2**20
 
-# each thread's conv workspace (_scratch) and the plan views bound into it
-# (_bound_views)
+# each thread's conv workspace (buf) and the conv records whose views lie in
+# it (convs), both kept by _conv
 _workspace = threading.local()
-
-
-def _scratch(nbytes: int) -> np.ndarray:
-    """This thread's workspace, a byte buffer of at least nbytes.  It grows to
-    the largest request and is reused after that, so a conv takes no fresh
-    pages for its padded input, patches and GEMM output.  Growing drops every
-    view bound into the old buffer, so that nothing keeps it alive."""
-    buf = getattr(_workspace, "buf", None)
-    if buf is None or buf.size < nbytes:
-        _workspace.buf = _workspace.views = buf = None
-        buf = _workspace.buf = np.empty(nbytes, np.uint8)
-        _workspace.views = {}
-    return buf
 
 
 def _centred_pads(k: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
@@ -244,48 +229,33 @@ def _centred_pads(k: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
 
 
 class _Slab(NamedTuple):
-    """Output rows r0:r1 of a conv plan, with their index into the output
-    (rows), into the windows (window), and the shapes of their patches and of
-    their GEMM operand split by last-axis tap (taps_shape)."""
+    """Output rows r0:r1 of a conv and their views into this thread's
+    workspace: the windows its patches gather (source), where they go (dst,
+    None when the patches are whole rows of the padded input), the patch
+    matrix, the GEMM operand z, and per last-axis tap a, z's shifted window
+    (a, ..., a:a + s) and the sites on either side of it (margins)."""
 
     r0: int
     r1: int
-    rows: tuple
-    window: tuple
-    patch_shape: tuple[int, ...]
-    n_cols: int
-    taps_shape: tuple[int, ...]
+    source: np.ndarray
+    dst: np.ndarray | None
+    patches: np.ndarray
+    z: np.ndarray
+    taps: tuple[np.ndarray, ...]
+    margins: tuple[np.ndarray, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class _ConvPlan:
-    """Everything about a conv that depends only on its shapes (_conv_plan).
+class _Conv(NamedTuple):
+    """This thread's record of a conv (_conv): the output sides, the padded
+    input's interior and pad faces, the slabs, and the kernel's GEMM layout."""
 
-    The workspace holds three regions at 64-byte aligned byte offsets: the
-    padded input, one slab's patches and one slab's GEMM operand; sizes are
-    in elements, 0 for patches that are whole rows of the padded input.
-    windows (shape window_shape, strides window_strides) is the strided view
-    of the padded input whose slabs the patches gather.  taps and margins index a slab's
-    GEMM operand, reshaped to taps_shape: per last-axis tap a, its shifted
-    window (a, ..., a:a + s), and the sites on either side of it.
-    """
-
-    padded: tuple[int, ...]
     out: tuple[int, ...]
+    interior: np.ndarray
+    faces: tuple[np.ndarray, ...]
     slabs: tuple[_Slab, ...]
-    sizes: tuple[int, int, int]
-    offsets: tuple[int, ...]
-    dtype: np.dtype
-    window_shape: tuple[int, ...]
-    window_strides: tuple[int, ...]
-    interior: tuple
-    faces: tuple
-    taps: tuple
-    margins: tuple
-    patch_rows: int
-    # the weight matrices: w.transpose(w_perm).reshape(ws_shape) is the
-    # forward's GEMM operand; the kernel gradient is
-    # gws.reshape(gw_shape).transpose(gw_perm); w[flip] flips the kernel
+    # w.transpose(w_perm).reshape(ws_shape) is the forward's GEMM operand;
+    # the kernel gradient is gws.reshape(gw_shape).transpose(gw_perm); w[flip]
+    # flips the kernel
     w_perm: tuple[int, ...]
     ws_shape: tuple[int, int]
     gw_shape: tuple[int, ...]
@@ -295,14 +265,23 @@ class _ConvPlan:
     bias_shape: tuple[int, ...]
 
 
-@functools.cache
-def _conv_plan(x_shape, w_shape, pads, dtype, budget) -> _ConvPlan:
-    """The plan of a conv of an x_shape input with a w_shape kernel, zero-
-    padded by pads (None: _centred_pads), with row slabs of at most budget
-    bytes."""
+def _conv(x_shape, w_shape, pads, dtype) -> _Conv:
+    """This thread's record of a conv of an x_shape input with a w_shape
+    kernel, zero-padded by pads (None: _centred_pads), built on first use.
+
+    The workspace holds three regions at 64-byte aligned byte offsets: the
+    padded input, one slab's patches (none when they are whole rows of the
+    padded input) and one slab's GEMM operand.  The workspace grows to the
+    largest conv and is reused after that, so a conv takes no fresh pages.
+    Growing drops the old buffer and every record of it, so that nothing
+    keeps it alive.
+    """
+    key = (x_shape, w_shape, pads, dtype, _PATCH_BYTES)
+    conv = getattr(_workspace, "convs", {}).get(key)
+    if conv is not None:
+        return conv
     c_out, c_in, k = w_shape[0], w_shape[1], w_shape[2:]
     pads = pads or _centred_pads(k)
-    dtype = np.dtype(dtype)
     item = dtype.itemsize
     padded = tuple(n + lo + hi for n, (lo, hi) in zip(x_shape[1:], pads))
     out = tuple(p - ki + 1 for p, ki in zip(padded, k))
@@ -312,18 +291,9 @@ def _conv_plan(x_shape, w_shape, pads, dtype, budget) -> _ConvPlan:
     # per output row, inner output site and padded last-axis site
     row_cols = math.prod(out[1:-1]) * padded[-1]
     patch_rows = c_in * math.prod(k[:-1])
-    step = max(1, budget // ((patch_rows + k[-1] * c_out) * row_cols * item))
-    lead = (slice(None),) * len(k)
-    slabs = []
-    for r0 in range(0, out[0], step):
-        r1 = min(r0 + step, out[0])
-        patch_shape = (c_in, *k[:-1], r1 - r0, *out[1:-1], padded[-1])
-        slabs.append(_Slab(
-            r0, r1, (slice(None), slice(r0, r1)), lead + (slice(r0, r1),), patch_shape,
-            (r1 - r0) * row_cols, (k[-1], c_out, r1 - r0, *out[1:-1], padded[-1]),
-        ))
-    cols = slabs[0].n_cols
-
+    step = max(1, _PATCH_BYTES // ((patch_rows + k[-1] * c_out) * row_cols * item))
+    ranges = [(r0, min(r0 + step, out[0])) for r0 in range(0, out[0], step)]
+    cols = (ranges[0][1] - ranges[0][0]) * row_cols
     sizes = (
         c_in * math.prod(padded),
         patch_rows * cols if patch_rows > c_in else 0,
@@ -333,35 +303,54 @@ def _conv_plan(x_shape, w_shape, pads, dtype, budget) -> _ConvPlan:
     for size in sizes:
         offsets.append(offsets[-1] + -(-size * item // 64) * 64)
 
+    buf = getattr(_workspace, "buf", None)
+    if buf is None or buf.size < offsets[-1]:
+        _workspace.buf = _workspace.convs = buf = None
+        buf = _workspace.buf = np.empty(offsets[-1], np.uint8)
+        _workspace.convs = {}
+    region = lambda i: buf[offsets[i] : offsets[i] + sizes[i] * item].view(dtype)
+    xp = region(0).reshape((c_in,) + padded)
     # windows[c, *taps, *out sites] = xp[c, *(out sites + taps)], over every
-    # axis but the last, whose padded sites stay whole; xp is C-contiguous
-    s = [item]
-    for n in reversed(padded):
-        s.insert(0, s[0] * n)
+    # axis but the last, whose padded sites stay whole
+    s = xp.strides
+    windows = as_strided(
+        xp, (c_in, *k[:-1], *out[:-1], padded[-1]), (s[0], *s[1:-1], *s[1:-1], s[-1])
+    )
     inner = tuple(slice(lo, lo + n) for n, (lo, _) in zip(x_shape[1:], pads))
     faces = []
     for axis, (n, (lo, hi)) in enumerate(zip(x_shape[1:], pads), start=1):
         before = (slice(None),) * axis
-        faces += [before + (slice(None, lo),)] * (lo > 0)
-        faces += [before + (slice(lo + n, None),)] * (hi > 0)
+        faces += [xp[before + (slice(None, lo),)]] * (lo > 0)
+        faces += [xp[before + (slice(lo + n, None),)]] * (hi > 0)
 
     width = out[-1]
+    slabs = []
+    for r0, r1 in ranges:
+        n_cols = (r1 - r0) * row_cols
+        source, dst = windows[(slice(None),) * len(k) + (slice(r0, r1),)], None
+        if sizes[1]:
+            dst = region(1)[: patch_rows * n_cols].reshape(
+                c_in, *k[:-1], r1 - r0, *out[1:-1], padded[-1]
+            )
+            patches = dst.reshape(patch_rows, n_cols)
+        else:
+            # whole rows of xp, contiguous in each channel: a view of xp
+            patches = source.reshape(patch_rows, n_cols)
+        z = region(2)[: k[-1] * c_out * n_cols].reshape(-1, n_cols)
+        by_tap = z.reshape(k[-1], c_out, r1 - r0, *out[1:-1], padded[-1])
+        slabs.append(_Slab(
+            r0, r1, source, dst, patches, z,
+            tuple(by_tap[a, ..., a : a + width] for a in range(k[-1])),
+            tuple(by_tap[a, ..., :a] for a in range(1, k[-1]))
+            + tuple(by_tap[a, ..., a + width :] for a in range(k[-1] - 1)),
+        ))
+
     d = len(k) + 2
-    return _ConvPlan(
-        padded=padded,
+    conv = _workspace.convs[key] = _Conv(
         out=out,
-        slabs=tuple(slabs),
-        sizes=sizes,
-        offsets=tuple(offsets),
-        dtype=dtype,
-        window_shape=(c_in, *k[:-1], *out[:-1], padded[-1]),
-        window_strides=(s[0], *s[1:-1], *s[1:-1], s[-1]),
-        interior=(slice(None),) + inner,
+        interior=xp[(slice(None),) + inner],
         faces=tuple(faces),
-        taps=tuple((a, Ellipsis, slice(a, a + width)) for a in range(k[-1])),
-        margins=tuple((a, Ellipsis, slice(None, a)) for a in range(1, k[-1]))
-        + tuple((a, Ellipsis, slice(a + width, None)) for a in range(k[-1] - 1)),
-        patch_rows=patch_rows,
+        slabs=tuple(slabs),
         w_perm=(d - 1, *range(d - 1)),
         ws_shape=(k[-1] * c_out, patch_rows),
         gw_shape=(k[-1], c_out, c_in, *k[:-1]),
@@ -370,78 +359,13 @@ def _conv_plan(x_shape, w_shape, pads, dtype, budget) -> _ConvPlan:
         adj_pads=tuple((ki - 1 - lo, ki - 1 - hi) for ki, (lo, hi) in zip(k, pads)),
         bias_shape=(c_out,) + (1,) * len(k),
     )
+    return conv
 
 
-def _row_slabs(x: np.ndarray, w: np.ndarray, pads=None) -> list[tuple[int, int]]:
-    """Ranges r0:r1 of output rows (first spatial axis), at least one row
-    each, whose patch matrix and GEMM output together fit _PATCH_BYTES."""
-    plan = _conv_plan(x.shape, w.shape, pads, x.dtype, _PATCH_BYTES)
-    return [(slab.r0, slab.r1) for slab in plan.slabs]
-
-
-class _BoundSlab(NamedTuple):
-    """A slab's views into this thread's workspace: the windows its patches
-    gather, where they go (None when the patches are whole rows of the padded
-    input), the patch matrix, the GEMM operand z, and z's tap and margin
-    views."""
-
-    source: np.ndarray
-    dst: np.ndarray | None
-    patches: np.ndarray
-    z: np.ndarray
-    taps: tuple[np.ndarray, ...]
-    margins: tuple[np.ndarray, ...]
-
-
-class _Bound(NamedTuple):
-    """A plan's views into this thread's workspace: the padded input's
-    interior and pad faces, and the slabs."""
-
-    interior: np.ndarray
-    faces: tuple[np.ndarray, ...]
-    slabs: tuple[_BoundSlab, ...]
-
-
-def _bind(plan: _ConvPlan, buf: np.ndarray) -> _Bound:
-    """plan's views into buf (_Bound)."""
-    item = plan.dtype.itemsize
-    region = lambda i: buf[
-        plan.offsets[i] : plan.offsets[i] + plan.sizes[i] * item
-    ].view(plan.dtype)
-    xp = region(0).reshape((plan.window_shape[0],) + plan.padded)
-    windows = as_strided(xp, plan.window_shape, plan.window_strides)
-    slabs = []
-    for slab in plan.slabs:
-        source, dst = windows[slab.window], None
-        if plan.sizes[1]:
-            dst = region(1)[: math.prod(slab.patch_shape)].reshape(slab.patch_shape)
-            patches = dst.reshape(plan.patch_rows, slab.n_cols)
-        else:
-            # whole rows of xp, contiguous in each channel: a view of xp
-            patches = source.reshape(plan.patch_rows, slab.n_cols)
-        z = region(2)[: plan.ws_shape[0] * slab.n_cols].reshape(-1, slab.n_cols)
-        by_tap = z.reshape(slab.taps_shape)
-        slabs.append(_BoundSlab(
-            source, dst, patches, z,
-            tuple(by_tap[t] for t in plan.taps), tuple(by_tap[m] for m in plan.margins),
-        ))
-    return _Bound(xp[plan.interior], tuple(xp[face] for face in plan.faces), tuple(slabs))
-
-
-def _bound_views(plan: _ConvPlan) -> _Bound:
-    """plan's views into this thread's workspace, bound on first use."""
-    buf = _scratch(plan.offsets[-1])
-    bound = _workspace.views.get(plan)
-    if bound is None:
-        bound = _workspace.views[plan] = _bind(plan, buf)
-    return bound
-
-
-def _conv_slabs(x, plan: _ConvPlan):
-    """The row slabs of plan's conv of x, built in this thread's workspace.
-    Yields (slab, views) per slab: the plan's _Slab and its _BoundSlab views,
-    with its patches gathered.  The padded input is written once, ahead of
-    the slabs.
+def _conv_slabs(x, conv: _Conv):
+    """The row slabs of conv applied to x, built in this thread's workspace:
+    yields each _Slab with its patches gathered.  The padded input is written
+    once, ahead of the slabs.
 
     The patch matrix gathers the windows of the padded input over every
     kernel axis but the last, with the padded last axis kept whole: shape
@@ -449,57 +373,56 @@ def _conv_slabs(x, plan: _ConvPlan):
     *inner output sides, padded last side).  Everything yielded is a view of
     the workspace, valid until the next slab.
     """
-    bound = _bound_views(plan)
-    bound.interior[...] = x
+    conv.interior[...] = x
     # other convs share the workspace: zero the pad faces on every call
-    for face in bound.faces:
+    for face in conv.faces:
         face[...] = 0
-    for slab, views in zip(plan.slabs, bound.slabs):
-        if views.dst is not None:
-            views.dst[...] = views.source
-        yield slab, views
+    for slab in conv.slabs:
+        if slab.dst is not None:
+            slab.dst[...] = slab.source
+        yield slab
 
 
 def _conv_forward(x, w, b, pads=None):
     """Correlation of x (c_in, *spatial) with w (c_out, c_in, *k), plus b,
     over x zero-padded by pads, per axis (before, after) sites; by default
     k//2 each side, "same" for an odd k."""
-    plan = _conv_plan(x.shape, w.shape, pads, x.dtype, _PATCH_BYTES)
+    conv = _conv(x.shape, w.shape, pads, x.dtype)
     # the last kernel axis's taps become GEMM output rows: z[a] is the
     # correlation over the other axes with w[..., a], and y sums z[a]
     # shifted left by a along the last axis
-    ws = w.transpose(plan.w_perm).reshape(plan.ws_shape)
-    y = np.empty((w.shape[0],) + plan.out, x.dtype)
-    for slab, views in _conv_slabs(x, plan):
-        np.matmul(ws, views.patches, out=views.z)
-        dst = y[slab.rows]
-        dst[...] = views.taps[0]
-        for tap in views.taps[1:]:
+    ws = w.transpose(conv.w_perm).reshape(conv.ws_shape)
+    y = np.empty((w.shape[0],) + conv.out, x.dtype)
+    for slab in _conv_slabs(x, conv):
+        np.matmul(ws, slab.patches, out=slab.z)
+        dst = y[:, slab.r0 : slab.r1]
+        dst[...] = slab.taps[0]
+        for tap in slab.taps[1:]:
             dst += tap
     if b is not None:
-        y += b.reshape(plan.bias_shape)
+        y += b.reshape(conv.bias_shape)
     return y
 
 
 def _conv_vjp(gy, x, w, pads=None):
     """(gx, gw, gb) of _conv_forward(x, w, b, pads) for output gradient gy."""
-    plan = _conv_plan(x.shape, w.shape, pads, x.dtype, _PATCH_BYTES)
+    conv = _conv(x.shape, w.shape, pads, x.dtype)
     gb = gy.reshape(w.shape[0], -1).sum(axis=1)
-    gws = np.zeros(plan.ws_shape, x.dtype)
-    for slab, views in _conv_slabs(x, plan):
+    gws = np.zeros(conv.ws_shape, x.dtype)
+    for slab in _conv_slabs(x, conv):
         # adjoint of the shifted sum: gz[a, ..., j + a] = gy[..., j], zero
         # elsewhere
-        for margin in views.margins:
+        for margin in slab.margins:
             margin[...] = 0
-        g = gy[slab.rows]
-        for tap in views.taps:
+        g = gy[:, slab.r0 : slab.r1]
+        for tap in slab.taps:
             tap[...] = g
-        gws += views.z @ views.patches.T
-    gw = gws.reshape(plan.gw_shape).transpose(plan.gw_perm)
+        gws += slab.z @ slab.patches.T
+    gw = gws.reshape(conv.gw_shape).transpose(conv.gw_perm)
     # the adjoint of a zero-padded correlation is the correlation with the
     # kernel flipped spatially and transposed in (c_out, c_in), padded by
     # k - 1 - pad on the opposite sides
-    gx = _conv_forward(gy, w[plan.flip].swapaxes(0, 1), None, plan.adj_pads)
+    gx = _conv_forward(gy, w[conv.flip].swapaxes(0, 1), None, conv.adj_pads)
     return gx, gw, gb
 
 
@@ -529,31 +452,8 @@ def _avgpool_forward(x):
 
 def _parity_offsets(k: int) -> tuple[int, int]:
     """Along an axis, the coarse offset of the first tap that parity 0 and
-    parity 1 of a k-tap decoder read (see _parity_fold)."""
+    parity 1 of a k-tap decoder read (see _fold_matrix)."""
     return (-(k // 2)) // 2, (1 - k // 2) // 2
-
-
-@functools.cache
-def _parity_fold(k: int, dims: int) -> np.ndarray:
-    """The 0/1 map Q from a k^d kernel on the 2x nearest-upsampled map to the
-    2^d parity kernels on the coarse map, shape (2,)*d + (kp,)*d + (k,)*d
-    with kp = (k + 1)//2.
-
-    Along an axis, output site 2m + p reads the upsampled map at
-    2m + p + t - k//2, which is coarse site m + (p + t - k//2) // 2.  Over the
-    k fine taps t these are the kp coarse sites from m + o_p on, where
-    o_p = (p - k//2) // 2 (_parity_offsets), so fine tap t of parity p lands
-    on coarse tap (p + t - k//2) // 2 - o_p, and every coarse tap is read.
-    """
-    r = k // 2
-    offsets = _parity_offsets(k)
-    q = np.zeros((2,) * dims + ((k + 1) // 2,) * dims + (k,) * dims)
-    for parity in np.ndindex(*(2,) * dims):
-        for tap in np.ndindex(*(k,) * dims):
-            coarse = tuple((p + t - r) // 2 - offsets[p] for p, t in zip(parity, tap))
-            q[parity + coarse + tap] = 1.0
-    q.setflags(write=False)  # the cache hands the same array to every caller
-    return q
 
 
 @functools.cache
@@ -578,11 +478,26 @@ def _parity_windows(k: int, coarse: tuple[int, ...]):
 
 @functools.cache
 def _fold_matrix(k: int, dims: int) -> np.ndarray:
-    """_parity_fold as the (k^d, 2^d * kp^d) matrix of _fold_kernel's GEMM,
-    laid out as np.tensordot lays it out, so the GEMM is the same."""
-    q = _parity_fold(k, dims)
-    m = q.transpose((*range(2 * dims, 3 * dims), *range(2 * dims))).reshape(k**dims, -1)
-    m.setflags(write=False)
+    """The 0/1 map from a k^d kernel on the 2x nearest-upsampled map to the
+    2^d parity kernels on the coarse map, as the (k^d, 2^d * kp^d) matrix of
+    _fold_kernel's GEMM, kp = (k + 1)//2: rows in C order over the fine taps,
+    columns over (parity, coarse tap).
+
+    Along an axis, output site 2m + p reads the upsampled map at
+    2m + p + t - k//2, which is coarse site m + (p + t - k//2) // 2.  Over the
+    k fine taps t these are the kp coarse sites from m + o_p on, where
+    o_p = (p - k//2) // 2 (_parity_offsets), so fine tap t of parity p lands
+    on coarse tap (p + t - k//2) // 2 - o_p, and every coarse tap is read.
+    """
+    r = k // 2
+    offsets = _parity_offsets(k)
+    m = np.zeros((k,) * dims + (2,) * dims + ((k + 1) // 2,) * dims)
+    for parity in np.ndindex(*(2,) * dims):
+        for tap in np.ndindex(*(k,) * dims):
+            coarse = tuple((p + t - r) // 2 - offsets[p] for p, t in zip(parity, tap))
+            m[tap + parity + coarse] = 1.0
+    m = m.reshape(k**dims, -1)
+    m.setflags(write=False)  # the cache hands the same array to every caller
     return m
 
 
@@ -612,7 +527,8 @@ def _unfold_gradient(g_kernel, k):
     g = g_kernel.reshape((2,) * d + (c_out,) + g_kernel.shape[1:]).transpose(
         (d, d + 1, *range(d), *range(d + 2, 2 * d + 2))
     )
-    q = _parity_fold(k, d).reshape(-1, k**d)
+    # C-ordered: a GEMM with the transposed view itself sums in another order
+    q = np.ascontiguousarray(_fold_matrix(k, d).T)
     return np.dot(g.reshape(c_out * c_up, -1), q).reshape((c_out, c_up) + (k,) * d)
 
 

@@ -934,12 +934,15 @@ def test_train_missing_data_file_exits_2(train_dir, tmp_path, capsys):
         ("train_cfg", {"clip_norm": None}),
         ("train_cfg", {"clip_norm": math.inf}),
         ("arch", {"instance_norm": True}),
+        ("arch", {"base_channels": True}),
+        ("arch", {"dims": 2.0}),
     ],
     ids=[
         "ode-t_end-inf", "ode-lam-nan", "train-epochs-float", "train-seed-float",
         "train-gamma_init-negative", "train-gamma_init-nan", "train-lr_gamma-inf",
         "train-init_window-unknown", "train-batch_size", "train-clip_norm-null",
-        "train-clip_norm-inf", "arch-instance_norm",
+        "train-clip_norm-inf", "arch-instance_norm", "arch-base_channels-bool",
+        "arch-dims-float",
     ],
 )
 def test_train_config_value_rejected_before_training_exits_2(

@@ -34,8 +34,7 @@ from tomoflow.network import (
     _decoder_conv_forward,
     _decoder_conv_vjp,
     _fold_kernel,
-    _parity_fold,
-    _row_slabs,
+    _fold_matrix,
     _unfold_gradient,
     net_apply_array,
     net_vjp_array,
@@ -46,6 +45,12 @@ from decoder_oracle import concat_decoder_forward, concat_decoder_vjp, reshape_m
 # every conv pads with zeros; the tests of padded convs name that rule in
 # their ids
 zero_padding = pytest.mark.parametrize("padding", ["zeros"])
+
+
+def _row_slabs(x, w, pads=None):
+    """Ranges r0:r1 of output rows (first spatial axis) of the slabs of a conv
+    of x with w, from this thread's record of that conv."""
+    return [(slab.r0, slab.r1) for slab in network._conv(x.shape, w.shape, pads, x.dtype).slabs]
 
 
 def unzero_projection(params, seed):
@@ -320,7 +325,9 @@ def test_decoder_matches_the_concatenation_oracle(padding, k, spatial):
 @pytest.mark.parametrize("dims", [2, 3])
 @pytest.mark.parametrize("k", [1, 3, 5, 7])
 def test_parity_fold_and_its_adjoint(dims, k):
-    q = _parity_fold(k, dims)
+    kp = (k + 1) // 2
+    # the fold matrix as the 6-axis map (parity, coarse tap, fine tap)
+    q = _fold_matrix(k, dims).T.reshape((2,) * dims + (kp,) * dims + (k,) * dims)
     # every fine tap of every parity lands on exactly one coarse tap
     coarse_axes = tuple(range(dims, 2 * dims))
     assert np.array_equal(q.sum(axis=coarse_axes), np.ones((2,) * dims + (k,) * dims))
@@ -444,12 +451,10 @@ def test_row_slabs_count_the_itemsize(c_in, c_out, k, side):
     def slab_bytes(x, w):
         """(rows, patch-matrix plus GEMM-output bytes) of each slab as built."""
         out = []
-        slabs = network._conv_slabs(
-            x, network._conv_plan(x.shape, w.shape, None, x.dtype, network._PATCH_BYTES)
-        )
-        for (slab, views), want in zip(slabs, _row_slabs(x, w), strict=True):
+        slabs = network._conv_slabs(x, network._conv(x.shape, w.shape, None, x.dtype))
+        for slab, want in zip(slabs, _row_slabs(x, w), strict=True):
             assert (slab.r0, slab.r1) == want
-            patches, z = views.patches, views.z
+            patches, z = slab.patches, slab.z
             assert patches.dtype == z.dtype == x.dtype
             assert z.shape == (k * c_out, patches.shape[1])
             out.append((slab.r1 - slab.r0, patches.nbytes + z.nbytes))
@@ -518,6 +523,12 @@ def test_three_level_3d_network_runs_on_a_one_site_bottom():
         {"kernel_size": 2},
         {"kernel_size": -3},
         {"dims": 4},
+        # a bool is an int, but a JSON true must not read as a count of 1
+        {"n_levels": True},
+        {"base_channels": True},
+        {"kernel_size": True},
+        # 2.0 == 2, but a float dims fails later, in init_params
+        {"dims": 2.0},
     ],
 )
 def test_arch_rejects_bad_values(kwargs):
@@ -731,8 +742,7 @@ def test_pad_faces_are_zeroed_on_every_call(monkeypatch):
     # an unpadded 1x1 conv writes its GEMM output from offset 0, over the
     # padded input of the first conv and its pad faces
     _conv_forward(rng.normal(0.0, 1.0, (3, 8, 8)), rng.normal(0.0, 1.0, (4, 3, 1, 1)), None)
-    plan = network._conv_plan(x.shape, w.shape, None, x.dtype, network._PATCH_BYTES)
-    faces = network._workspace.views[plan].faces
+    faces = network._conv(x.shape, w.shape, None, x.dtype).faces
     assert len(faces) == 4 and all(np.all(face != 0) for face in faces)
     assert _conv_forward(x, w, np.ones(3)).tobytes() == first.tobytes()
 
@@ -743,24 +753,52 @@ def test_a_grown_workspace_releases_the_old_buffer(monkeypatch):
     w = rng.normal(0.0, 1.0, (2, 2, 3, 3))
     _conv_vjp(rng.normal(0.0, 1.0, (2, 4, 4)), rng.normal(0.0, 1.0, (2, 4, 4)), w)
     old = weakref.ref(network._workspace.buf)
-    assert network._workspace.views  # views bound into the old buffer
+    assert network._workspace.convs  # records of views into the old buffer
     _conv_forward(rng.normal(0.0, 1.0, (2, 32, 32)), w, None)
     gc.collect()
     assert old() is None
 
 
-def test_a_second_forward_builds_no_plan():
+def test_a_second_forward_builds_no_plan(monkeypatch):
+    monkeypatch.setattr(network, "_workspace", threading.local())
+    rng = np.random.default_rng(28)
+    # grow the workspace first, so that the first pass drops no record
+    _conv_forward(rng.normal(0.0, 1.0, (4, 32, 32)), rng.normal(0.0, 1.0, (4, 4, 3, 3)), None)
     params = unzero_projection(init_params(NetArch(n_levels=3), 0), 1)
-    x = np.random.default_rng(28).uniform(0.0, 1.0, (16, 24))
+    x = rng.uniform(0.0, 1.0, (16, 24))
     first, tape = net_apply_array(params, x)
     net_vjp_array(params, tape, x)
-    before = network._conv_plan.cache_info()
+    before = dict(network._workspace.convs)
     second, tape = net_apply_array(params, x)
     net_vjp_array(params, tape, x)
-    after = network._conv_plan.cache_info()
-    assert after.misses == before.misses
-    assert after.hits > before.hits
+    after = network._workspace.convs
+    assert after.keys() == before.keys()
+    assert all(after[key] is conv for key, conv in before.items())
     assert np.array_equal(first, second)
+
+
+def test_a_conv_used_before_a_growth_is_rebuilt_in_the_new_buffer(monkeypatch):
+    monkeypatch.setattr(network, "_workspace", threading.local())
+    rng = np.random.default_rng(29)
+    x = rng.normal(0.0, 1.0, (2, 6, 5))
+    w = rng.normal(0.0, 1.0, (3, 2, 3, 3))
+    b = rng.normal(0.0, 1.0, 3)
+    gy = rng.normal(0.0, 1.0, (3, 6, 5))
+    conv_and_vjp = lambda: (_conv_forward(x, w, b),) + _conv_vjp(gy, x, w)
+    before = conv_and_vjp()
+    old = network._workspace.buf
+    _conv_forward(rng.normal(0.0, 1.0, (4, 32, 32)), rng.normal(0.0, 1.0, (4, 4, 3, 3)), None)
+    buf = network._workspace.buf
+    assert buf is not old
+    after = conv_and_vjp()
+    assert [a.tobytes() for a in after] == [a.tobytes() for a in before]
+    conv = network._conv(x.shape, w.shape, None, x.dtype)
+    views = [conv.interior, *conv.faces]
+    for slab in conv.slabs:
+        views += [slab.source, slab.patches, slab.z, *slab.taps, *slab.margins]
+        views += [] if slab.dst is None else [slab.dst]
+    assert all(np.may_share_memory(view, buf) for view in views)
+    assert not any(np.may_share_memory(view, old) for view in views)
 
 
 def test_threads_have_their_own_workspace():

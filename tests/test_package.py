@@ -45,3 +45,26 @@ def test_no_module_imports_a_name_it_never_uses():
                 continue
             unused += [f"{path.name}: {name}" for name in bound if name not in used]
     assert unused == []
+
+
+def test_every_private_function_and_class_is_used_by_the_library():
+    # a private helper that only the tests call belongs in the tests; a use
+    # counts only outside the helper's own definition, so recursion is none
+    defs, uses = [], []
+    for path in sorted(Path(tomoflow.__file__).parent.glob("*.py")):
+        for i, stmt in enumerate(ast.parse(path.read_text()).body):
+            where = (path.name, i)
+            nodes = list(ast.walk(stmt))
+            uses.append((where, {n.id for n in nodes if isinstance(n, ast.Name)}
+                         | {n.attr for n in nodes if isinstance(n, ast.Attribute)}))
+            if (
+                isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and stmt.name.startswith("_")
+                and not stmt.name.startswith("__")
+            ):
+                defs.append((where, stmt.name))
+    unused = [
+        f"{where[0]}: {name}" for where, name in defs
+        if not any(name in names for other, names in uses if other != where)
+    ]
+    assert unused == []
