@@ -20,15 +20,15 @@ tv_term, rmse_vs_reference) when given a log path.
 
 from __future__ import annotations
 
-import csv
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import VolumeGrid
-from .projector import Sinogram, Volume, bind, op_norm_estimate
+from .dataio import _write_csv
+from .errors import _count, _real
+from .projector import Sinogram, Volume, _values, bind, op_norm_estimate
 
 
 @dataclass
@@ -49,28 +49,20 @@ class IterConfig:
     tv_eps: float | None = None
 
     def __post_init__(self):
-        n_iters = self.n_iters
-        if isinstance(n_iters, bool) or not isinstance(n_iters, (int, np.integer)) or n_iters < 1:
-            raise ValueError(f"n_iters must be an integer >= 1, got {n_iters!r}")
-        for name in ("step_size", "tv_weight", "tv_eps"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.step_size is not None and not self.step_size > 0:
-            raise ValueError(f"step_size must be > 0, got {self.step_size}")
-        if self.tv_weight < 0:
-            raise ValueError(f"tv_weight must be >= 0, got {self.tv_weight}")
-        if self.tv_eps is not None and not self.tv_eps > 0:
-            raise ValueError(f"tv_eps must be > 0, got {self.tv_eps}")
+        self.n_iters = _count("n_iters", self.n_iters)
+        self.tv_weight = _real("tv_weight", self.tv_weight, ge=0.0)
+        for name in ("step_size", "tv_eps"):
+            if getattr(self, name) is not None:
+                setattr(self, name, _real(name, getattr(self, name), gt=0.0))
 
 
 class _IterLog:
     """CSV writer for per-iteration diagnostics; no-op when path is None."""
 
-    def __init__(self, path, reference: np.ndarray | None):
+    def __init__(self, path, reference: Volume | np.ndarray | None):
         self._rows = [] if path is not None else None
         self._path = path
-        self._ref = reference
+        self._ref = None if reference is None else _values(reference)
 
     def record(self, iteration: int, data_term: float, tv_term: float, x: np.ndarray):
         if self._rows is None:
@@ -86,20 +78,9 @@ class _IterLog:
         return self._rows is not None
 
     def flush(self):
-        if self._rows is None:
-            return
-        with open(self._path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "data_term", "tv_term", "rmse_vs_reference"])
-            writer.writerows(self._rows)
-
-
-def _as_reference_array(reference: Volume | np.ndarray | None):
-    if reference is None:
-        return None
-    if isinstance(reference, Volume):
-        return reference.values
-    return np.asarray(reference, dtype=np.float64)
+        if self._rows is not None:
+            header = ("iteration", "data_term", "tv_term", "rmse_vs_reference")
+            _write_csv(self._path, header, self._rows)
 
 
 def sirt(
@@ -123,7 +104,7 @@ def sirt(
 
     x = np.zeros(grid.shape) if x0 is None else x0.values.copy()
     p_flat = p.values.reshape(-1)
-    log = _IterLog(log_path, _as_reference_array(reference))
+    log = _IterLog(log_path, reference)
     # log rows hold the data term of iterate n, for n = 0 .. n_iters
     for it in range(cfg.n_iters):
         residual = p_flat - op.forward(x)
@@ -155,8 +136,7 @@ def _tv_terms(values: np.ndarray, eps: float):
 
 def tv_value(x: Volume | np.ndarray, eps: float) -> float:
     """Smoothed isotropic total variation R(x)."""
-    values = x.values if isinstance(x, Volume) else np.asarray(x, dtype=np.float64)
-    _, phi = _tv_terms(values, eps)
+    _, phi = _tv_terms(_values(x), eps)
     return float(np.sum(phi))
 
 
@@ -216,7 +196,7 @@ def tv_reconstruct(
         )
     p_flat = p.values.reshape(-1)
     mu = cfg.tv_weight
-    log = _IterLog(log_path, _as_reference_array(reference))
+    log = _IterLog(log_path, reference)
     # log rows hold D + mu R evaluated at iterate n, for n = 0 .. n_iters
     for it in range(cfg.n_iters):
         residual = op.forward(x) - p_flat

@@ -20,6 +20,7 @@ import logging
 import math
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,8 @@ from .errors import (
     DivergenceError,
     InvalidGeometryError,
     ShapeMismatchError,
+    _count,
+    _real,
 )
 from .analytic import _WINDOWS, fbp_fan, fdk_cone
 from .geometry import VolumeGrid, geometry_from_dict, geometry_to_dict
@@ -96,31 +99,16 @@ def _build(field: str, ctor, doc: dict):
         return ctor(**doc)
     except ConfigError:
         raise
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(field, str(exc)) from exc
-    except (ValueError, InvalidGeometryError) as exc:
-        raise ConfigError(field, str(exc)) from exc
-
-
-def _phantom_spec(doc: dict) -> PhantomSpec:
-    doc = dict(doc)
-    if "size" in doc:
-        doc["size"] = tuple(doc["size"])
-    if "value_range" in doc:
-        doc["value_range"] = tuple(doc["value_range"])
-    return _build("phantom", PhantomSpec, doc)
 
 
 def _geometry(doc: dict):
     doc = {"angular_range": [0.0, 360.0], "detector_pixel_size": 1.0, **doc}
     try:
         return geometry_from_dict(doc)
-    except (InvalidGeometryError, ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError("geometry", str(exc)) from exc
-
-
-def _noise(doc: dict) -> NoiseModel:
-    return _build("noise", NoiseModel, doc)
 
 
 def _out_dir(args) -> Path:
@@ -131,10 +119,10 @@ def _out_dir(args) -> Path:
 
 def cmd_simulate(args) -> int:
     doc = _load_config(args.config)
-    spec = _phantom_spec(_section(doc, "phantom"))
+    spec = _build("phantom", PhantomSpec, _section(doc, "phantom"))
     geom = _geometry(_section(doc, "geometry"))
-    noise = _noise(_section(doc, "noise", required=False) or {"kind": "none"})
-    seed = int(doc.get("seed", 0))
+    noise = _build("noise", NoiseModel, _section(doc, "noise", required=False))
+    seed = _count("seed", doc.get("seed", 0), minimum=0, error=partial(ConfigError, "seed"))
     out = _out_dir(args)
 
     truth = make_phantom(spec)
@@ -230,8 +218,8 @@ def _reconstruct_volume(args, p, grid):
 def cmd_reconstruct(args) -> int:
     if args.solve_log is not None and args.method != "node":
         raise ConfigError("solve-log", "only --method node writes a solve log")
-    if args.gamma is not None and not (math.isfinite(args.gamma) and args.gamma >= 0):
-        raise ConfigError("gamma", f"must be finite and >= 0, got {args.gamma}")
+    if args.gamma is not None:
+        _real("gamma", args.gamma, ge=0.0, error=partial(ConfigError, "gamma"))
     out = _out_dir(args)
     p = load_sinogram(args.sinogram)
     reference = load_volume(args.reference) if args.reference else None

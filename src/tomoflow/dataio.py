@@ -1,4 +1,4 @@
-"""Record files, slice images, and JSON reports.
+"""Record files, slice images, JSON reports and per-iteration CSV logs.
 
 This module owns the one binary record layout that every tomoflow data file
 shares: volumes (.ctv), sinograms (.cts), network parameters and the Adam
@@ -21,6 +21,7 @@ precision.
 
 from __future__ import annotations
 
+import csv
 import json
 import struct
 from contextlib import contextmanager
@@ -84,6 +85,14 @@ def _write_json(path, doc) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_csv(path, header, rows) -> None:
+    """A per-iteration log: the header row, then one row per iteration."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_sidecar(path, doc: dict) -> None:

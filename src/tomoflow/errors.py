@@ -1,4 +1,9 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the two field checks
+that every config and scan runs: a count and a finite real."""
+
+import math
+
+import numpy as np
 
 
 class TomoflowError(Exception):
@@ -48,3 +53,27 @@ class DivergenceError(TomoflowError, RuntimeError):
                 f"(max |state| = {max_abs:.6g})"
             )
         super().__init__(message)
+
+
+def _count(name: str, value, minimum: int = 1, error=ValueError) -> int:
+    """value as an int: a Python or numpy integer >= minimum, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def _real(name: str, value, *, gt=None, ge=None, error=ValueError) -> float:
+    """value as a float: a finite int or float, never a bool, > gt and >= ge
+    where given."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise error(f"{name} must be a real number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise error(f"{name} must be finite, got {value}")
+    if gt is not None and not value > gt:
+        raise error(f"{name} must be > {gt}, got {value}")
+    if ge is not None and not value >= ge:
+        raise error(f"{name} must be >= {ge}, got {value}")
+    return value

@@ -27,28 +27,9 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidGeometryError
+from .errors import InvalidGeometryError, _count, _real
 
 FULL_TURN = 2.0 * math.pi
-
-
-def _check_count(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidGeometryError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise InvalidGeometryError(f"{name} must be >= 1, got {value}")
-    return int(value)
-
-
-def _check_range(value) -> tuple[float, float]:
-    start, end = (float(value[0]), float(value[1]))
-    if not (math.isfinite(start) and math.isfinite(end)):
-        raise InvalidGeometryError(f"angular_range must be finite, got {value!r}")
-    if end <= start:
-        raise InvalidGeometryError(
-            f"angular_range must satisfy end > start, got ({start}, {end})"
-        )
-    return (start, end)
 
 
 def _centred(n: int, step: float) -> np.ndarray:
@@ -75,27 +56,20 @@ class VolumeGrid:
     origin: tuple[float, ...] = None
 
     def __post_init__(self):
-        shape = tuple(_check_count("grid shape entry", n) for n in self.shape)
+        shape = tuple(_count("grid shape entry", n, error=InvalidGeometryError) for n in self.shape)
         if len(shape) not in (2, 3):
             raise InvalidGeometryError(
                 f"grid must be 2D or 3D, got shape {shape}"
             )
-        if not (self.voxel_size > 0 and math.isfinite(self.voxel_size)):
-            raise InvalidGeometryError(
-                f"voxel_size must be > 0, got {self.voxel_size}"
-            )
-        origin = self.origin
-        if origin is None:
-            origin = (0.0,) * len(shape)
-        origin = tuple(float(c) for c in origin)
-        if not all(math.isfinite(c) for c in origin):
-            raise InvalidGeometryError(f"origin must be finite, got {origin}")
+        origin = (0.0,) * len(shape) if self.origin is None else self.origin
+        origin = tuple(_real("origin", c, error=InvalidGeometryError) for c in origin)
         if len(origin) != len(shape):
             raise InvalidGeometryError(
                 f"origin has {len(origin)} coordinates for a {len(shape)}D grid"
             )
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "voxel_size", float(self.voxel_size))
+        voxel_size = _real("voxel_size", self.voxel_size, gt=0.0, error=InvalidGeometryError)
+        object.__setattr__(self, "voxel_size", voxel_size)
         object.__setattr__(self, "origin", origin)
 
     @property
@@ -122,29 +96,24 @@ class _Scan:
 
     kind: str
     _detector_fields: tuple[str, ...]
-    _floats = ("source_distance", "detector_distance", "detector_pixel_size")
+    # each real field and its bound
+    _reals = {"source_distance": {"gt": 0.0}, "detector_distance": {"ge": 0.0},
+              "detector_pixel_size": {"gt": 0.0}}
 
     def __post_init__(self):
         for name in ("n_angles",) + self._detector_fields:
-            object.__setattr__(self, name, _check_count(name, getattr(self, name)))
-        if not self.source_distance > 0:
-            raise InvalidGeometryError(
-                f"source_distance must be > 0, got {self.source_distance}"
-            )
-        if self.detector_distance < 0:
-            raise InvalidGeometryError(
-                f"detector_distance must be >= 0, got {self.detector_distance}"
-            )
-        if not self.detector_pixel_size > 0:
-            raise InvalidGeometryError(
-                f"detector_pixel_size must be > 0, got {self.detector_pixel_size}"
-            )
-        for name in self._floats:
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise InvalidGeometryError(f"{name} must be finite, got {value}")
+            value = _count(name, getattr(self, name), error=InvalidGeometryError)
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "angular_range", _check_range(self.angular_range))
+        for name, bound in self._reals.items():
+            value = _real(name, getattr(self, name), error=InvalidGeometryError, **bound)
+            object.__setattr__(self, name, value)
+        rng = self.angular_range
+        start, end = (_real("angular_range", a, error=InvalidGeometryError) for a in rng[:2])
+        if end <= start:
+            raise InvalidGeometryError(
+                f"angular_range must satisfy end > start, got ({start}, {end})"
+            )
+        object.__setattr__(self, "angular_range", (start, end))
 
     @property
     def detector_shape(self) -> tuple[int, ...]:
@@ -207,7 +176,7 @@ class ConeGeometry(_Scan):
 
     kind = "cone"
     _detector_fields = ("detector_rows", "detector_cols")
-    _floats = _Scan._floats + ("trajectory_height",)
+    _reals = {**_Scan._reals, "trajectory_height": {}}
 
     def __post_init__(self):
         super().__post_init__()

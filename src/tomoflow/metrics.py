@@ -13,14 +13,10 @@ import math
 
 import numpy as np
 
-from .projector import Volume
+from .projector import _values
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
-
-
-def _values(v) -> np.ndarray:
-    return v.values if isinstance(v, Volume) else np.asarray(v, dtype=np.float64)
 
 
 def _mask_array(mask, shape) -> np.ndarray:

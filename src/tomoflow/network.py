@@ -73,7 +73,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .dataio import read_record, record_values, write_record
-from .errors import DataFormatError, ShapeMismatchError
+from .errors import DataFormatError, ShapeMismatchError, _count
 
 PARAMS_MAGIC = b"CTNP"
 # version, n_levels, base_channels, kernel_size, dims, and a word that is
@@ -97,17 +97,11 @@ class NetArch:
     dims: int = 2
 
     def __post_init__(self):
-        # a bool is an int, but a JSON true is no count
-        count = lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1
-        if not count(self.n_levels):
-            raise ValueError(f"n_levels must be an integer >= 1, got {self.n_levels!r}")
-        if not count(self.base_channels):
-            raise ValueError(
-                f"base_channels must be an integer >= 1, got {self.base_channels!r}"
-            )
-        if not count(self.kernel_size) or self.kernel_size % 2 == 0:
+        for name in ("n_levels", "base_channels", "kernel_size", "dims"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
+        if self.kernel_size % 2 == 0:
             raise ValueError(f"kernel_size must be odd, got {self.kernel_size!r}")
-        if not count(self.dims) or self.dims not in (2, 3):
+        if self.dims not in (2, 3):
             raise ValueError(f"dims must be 2 or 3, got {self.dims!r}")
 
     @property

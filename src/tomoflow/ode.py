@@ -37,15 +37,14 @@ output non-finite, so that solve raises DivergenceError.
 
 from __future__ import annotations
 
-import csv
-import math
 import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analytic import fbp_fan, fdk_cone
-from .errors import DivergenceError
+from .dataio import _write_csv
+from .errors import DivergenceError, _real
 from .geometry import VolumeGrid
 from .network import NetParams, net_apply_array, net_vjp_array
 from .projector import Sinogram, Volume, bind
@@ -65,13 +64,10 @@ class OdeConfig:
     mu: float = 1.0
 
     def __post_init__(self):
-        for name in ("t_end", "step_size", "lam", "mu"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.t_end > 0:
-            raise ValueError(f"t_end must be > 0, got {self.t_end}")
-        if not self.step_size > 0:
-            raise ValueError(f"step_size must be > 0, got {self.step_size}")
+        for name in ("t_end", "step_size"):
+            object.__setattr__(self, name, _real(name, getattr(self, name), gt=0.0))
+        for name in ("lam", "mu"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         ratio = self.t_end / self.step_size
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ValueError(
@@ -124,10 +120,7 @@ class SolveLog:
     rows: list = field(default_factory=list)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "t", "x_norm", "f_norm", "residual_norm"])
-            writer.writerows(self.rows)
+        _write_csv(path, ("step", "t", "x_norm", "f_norm", "residual_norm"), self.rows)
 
 
 def _check_finite(k: np.ndarray, step: int, x: np.ndarray):

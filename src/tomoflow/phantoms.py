@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _count, _real
 from .geometry import VolumeGrid
 from .projector import Sinogram, Volume, forward_project
 
@@ -53,15 +54,16 @@ class PhantomSpec:
                 f"unknown phantom kind {self.kind!r}; expected one of {PHANTOM_KINDS}"
             )
         ndim = 2 if self.kind in PHANTOM_KINDS_2D else 3
-        size = tuple(int(n) for n in self.size)
-        if len(size) != ndim or any(n < 1 for n in size):
-            raise ValueError(f"kind {self.kind!r} needs a {ndim}-d positive size, got {self.size}")
+        size = tuple(_count("size", n) for n in self.size)
+        if len(size) != ndim:
+            raise ValueError(f"kind {self.kind!r} needs a {ndim}-d size, got {self.size}")
+        lo, hi = (_real("value_range", v) for v in self.value_range)
+        if not lo < hi:
+            raise ValueError(f"value_range must be increasing, got {self.value_range}")
         object.__setattr__(self, "size", size)
-        lo, hi = self.value_range
-        if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError(f"value_range must be finite and increasing, got {self.value_range}")
-        if not (self.voxel_size > 0 and math.isfinite(self.voxel_size)):
-            raise ValueError(f"voxel_size must be finite and > 0, got {self.voxel_size}")
+        object.__setattr__(self, "seed", _count("seed", self.seed, minimum=0))
+        object.__setattr__(self, "value_range", (lo, hi))
+        object.__setattr__(self, "voxel_size", _real("voxel_size", self.voxel_size, gt=0.0))
 
 
 def _unit_coords(grid: VolumeGrid):
@@ -174,10 +176,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}; expected one of {NOISE_KINDS}")
-        if not (self.sigma >= 0 and math.isfinite(self.sigma)):
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
-        if not (self.i0 > 0 and math.isfinite(self.i0)):
-            raise ValueError(f"i0 must be finite and > 0, got {self.i0}")
+        object.__setattr__(self, "sigma", _real("sigma", self.sigma, ge=0.0))
+        object.__setattr__(self, "i0", _real("i0", self.i0, gt=0.0))
 
 
 def simulate_measurement(x: Volume, geom, noise: NoiseModel, seed: int = 0) -> Sinogram:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ShapeMismatchError
+from .errors import ShapeMismatchError, _count
 from .geometry import FULL_TURN, Geometry, VolumeGrid, ray_bundle
 
 def get_default_threads() -> int:
@@ -83,6 +83,11 @@ class Volume:
 
     def copy(self) -> "Volume":
         return Volume(self.grid, self.values.copy())
+
+
+def _values(v: Volume | np.ndarray) -> np.ndarray:
+    """The values of a Volume, or an array-like as a float64 array."""
+    return v.values if isinstance(v, Volume) else np.asarray(v, dtype=np.float64)
 
 
 @dataclass
@@ -393,13 +398,12 @@ def op_norm_estimate(geom: Geometry, grid: VolumeGrid, n_power_iters: int) -> fl
     Starts from the all-ones volume; A has non-negative entries, so the start
     overlaps the principal singular vector.
     """
-    if not isinstance(n_power_iters, (int, np.integer)) or n_power_iters < 1:
-        raise ValueError(f"n_power_iters must be >= 1, got {n_power_iters!r}")
+    n_power_iters = _count("n_power_iters", n_power_iters)
     _check_dims(geom, grid)
     v = np.ones(grid.shape)
     v /= np.linalg.norm(v)
     sigma = 0.0
-    for _ in range(int(n_power_iters)):
+    for _ in range(n_power_iters):
         w = forward_project_array(v, grid, geom)
         sigma = float(np.linalg.norm(w))
         if sigma == 0.0:

@@ -30,6 +30,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ from .dataio import (
     write_record,
     write_sidecar,
 )
-from .errors import ConfigError, DataFormatError, DivergenceError
+from .errors import ConfigError, DataFormatError, DivergenceError, _count, _real
 from .geometry import Geometry, VolumeGrid
 from .network import (
     NetArch,
@@ -54,7 +55,7 @@ from .network import (
 )
 from .ode import NodeDynamics, OdeConfig, adjoint_backward, initial_volume, rk4_solve
 from .ode import reconstruct_node
-from .projector import Sinogram, Volume
+from .projector import Sinogram, Volume, _values
 
 logger = logging.getLogger(__name__)
 
@@ -103,7 +104,7 @@ def l1_fov_loss(pred: Volume, target: Volume, mask: Volume) -> float:
     """Mean absolute difference over masked voxels."""
     pv = pred.values
     tv = target.values
-    mv = mask.values if isinstance(mask, Volume) else np.asarray(mask, dtype=np.float64)
+    mv = _values(mask)
     if pv.shape != tv.shape or pv.shape != mv.shape:
         raise ValueError(
             f"shape mismatch: pred {pv.shape}, target {tv.shape}, mask {mv.shape}"
@@ -163,25 +164,21 @@ class TrainConfig:
     init_window: str = "ram-lak"
 
     def __post_init__(self):
-        for name in ("epochs", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(name, f"must be an integer, got {value!r}")
-        if self.epochs < 1:
-            raise ConfigError("epochs", f"must be >= 1, got {self.epochs}")
-        for name in ("lr_net", "lr_gamma", "eps"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(name, f"must be finite and > 0, got {value}")
-        if not (math.isfinite(self.gamma_init) and self.gamma_init >= 0):
-            raise ConfigError("gamma_init", f"must be finite and >= 0, got {self.gamma_init}")
+        def check(name, helper, **bound):
+            value = helper(name, getattr(self, name), error=partial(ConfigError, name), **bound)
+            object.__setattr__(self, name, value)
+
+        check("epochs", _count)
+        check("seed", _count, minimum=0)
+        for name in ("lr_net", "lr_gamma", "eps", "clip_norm"):
+            check(name, _real, gt=0.0)
+        check("gamma_init", _real, ge=0.0)
+        for name in ("beta1", "beta2"):
+            check(name, _real, ge=0.0)
+            if not getattr(self, name) < 1.0:
+                raise ConfigError(name, f"must be in [0, 1), got {getattr(self, name)}")
         if self.init_window not in _WINDOWS:
             raise ConfigError("init_window", f"must be one of {_WINDOWS}, got {self.init_window!r}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(name, f"must be in [0, 1), got {getattr(self, name)}")
-        if self.clip_norm is None or not (math.isfinite(self.clip_norm) and self.clip_norm > 0):
-            raise ConfigError("clip_norm", f"must be finite and > 0, got {self.clip_norm}")
 
 
 @dataclass

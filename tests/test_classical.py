@@ -309,8 +309,15 @@ def test_warm_start_from_x0_is_used():
         {"tv_weight": math.nan},
         {"tv_eps": math.inf},
         {"tv_eps": math.nan},
+        {"n_iters": 2.5},
+        {"n_iters": 3.0},
+        {"step_size": True},
+        {"tv_weight": True},
+        {"tv_eps": True},
     ],
 )
 def test_iter_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         IterConfig(**kwargs)
+    # a numpy integer is a count, stored as an int
+    assert type(IterConfig(n_iters=np.int64(3)).n_iters) is int

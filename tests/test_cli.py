@@ -202,6 +202,24 @@ def test_simulate_rejects_unknown_geometry_key(tmp_path, capsys, key, value):
     assert not (tmp_path / "scan" / "sinogram.cts").exists()
 
 
+@pytest.mark.parametrize(
+    "section, field, value",
+    [("phantom", "seed", 1.5), ("phantom", "size", [16.9, 16]), (None, "seed", 2.7)],
+    ids=["phantom-seed", "phantom-size", "seed"],
+)
+def test_simulate_rejects_fractional_counts(tmp_path, capsys, section, field, value):
+    # before, a phantom seed of 1.5 crashed with a TypeError traceback, and a
+    # size of 16.9 or a top-level seed of 2.7 ran truncated to an integer
+    if section is None:
+        doc = dict(FAN_SCAN_CONFIG, **{field: value})
+    else:
+        doc = dict(FAN_SCAN_CONFIG, **{section: dict(FAN_SCAN_CONFIG[section], **{field: value})})
+    cfg = write_config(tmp_path / "sim.json", doc)
+    assert cli("simulate", "--config", cfg, "--out", tmp_path / "scan") == 2
+    assert f"{field} must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "scan" / "sinogram.cts").exists()
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert cli("simulate", "--config", tmp_path / "nope.json", "--out", tmp_path / "o") == 2
     assert "not found" in capsys.readouterr().err

@@ -58,6 +58,11 @@ def test_full_turn_excludes_end_angle():
         {"source_distance": -10.0},
         {"detector_distance": -1.0},
         {"detector_pixel_size": 0.0},
+        {"n_angles": 4.5},
+        {"n_detectors": True},
+        {"source_distance": True},
+        {"detector_pixel_size": True},
+        {"angular_range": (0.0, True)},
     ],
 )
 def test_fan_rejects_bad_arguments(kwargs):
@@ -292,6 +297,8 @@ def test_geometry_json_round_trip_partial_arc():
         (make_cone_geometry, "detector_pixel_size", math.nan),
         (make_cone_geometry, "trajectory_height", math.nan),
         (make_cone_geometry, "trajectory_height", -math.inf),
+        (make_cone_geometry, "trajectory_height", True),
+        (make_cone_geometry, "detector_rows", 3.0),
     ],
 )
 def test_scans_reject_non_finite_values(build, field, value):

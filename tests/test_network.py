@@ -529,11 +529,15 @@ def test_three_level_3d_network_runs_on_a_one_site_bottom():
         {"kernel_size": True},
         # 2.0 == 2, but a float dims fails later, in init_params
         {"dims": 2.0},
+        {"base_channels": 2.5},
+        {"kernel_size": np.int64(4)},
     ],
 )
 def test_arch_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         NetArch(**kwargs)
+    # a numpy integer is a count, stored as an int
+    assert NetArch(n_levels=np.int64(2)) == NetArch(2)
 
 
 # --- parameter vector and serialization ---

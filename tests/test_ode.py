@@ -117,6 +117,11 @@ def test_divergence_reports_failing_step_and_last_finite_magnitude():
         {"step_size": 0.0},
         {"step_size": -0.05},
         {"t_end": 0.3, "step_size": 0.07},
+        {"t_end": True},
+        {"step_size": True},
+        {"lam": True},
+        {"mu": False},
+        {"mu": "1.0"},
     ],
 )
 def test_ode_config_rejects_bad_values(kwargs):

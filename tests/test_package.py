@@ -68,3 +68,22 @@ def test_every_private_function_and_class_is_used_by_the_library():
         if not any(name in names for other, names in uses if other != where)
     ]
     assert unused == []
+
+
+def test_no_post_init_checks_finiteness_or_bools_itself():
+    # a count or a real field is checked by errors._count or errors._real,
+    # so every config and scan applies one rule to it
+    found = []
+    for path in sorted(Path(tomoflow.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"):
+                continue
+            for call in ast.walk(fn):
+                if not isinstance(call, ast.Call):
+                    continue
+                name = ast.unparse(call.func)
+                if name in ("math.isfinite", "isfinite") or (
+                    name == "isinstance" and "bool" in ast.unparse(call.args[1])
+                ):
+                    found.append(f"{path.name}:{call.lineno}: {ast.unparse(call)}")
+    assert found == []

@@ -103,6 +103,16 @@ def test_phantom_values_stay_inside_value_range(kind, size):
     assert ph.values.max() > lo  # something was painted
 
 
+@pytest.mark.parametrize("kind, size", [("disk_set", (16, 16)), ("walnut_like_3d", (8, 8, 8))])
+def test_integer_value_range_paints_like_floats(kind, size):
+    # before, an integer low end made the phantom an integer array, so every
+    # painted value was truncated: a (0, 1) disk set was all zeros
+    ints = make_phantom(PhantomSpec(kind, size, seed=1, value_range=(0, 1)))
+    floats = make_phantom(PhantomSpec(kind, size, seed=1, value_range=(0.0, 1.0)))
+    assert np.array_equal(ints.values, floats.values)
+    assert ints.values.max() > 0.5
+
+
 def test_phantom_grid_uses_requested_voxel_size():
     ph = make_phantom(PhantomSpec("disk_set", (16, 16), voxel_size=0.5))
     assert ph.grid.voxel_size == 0.5
@@ -124,6 +134,12 @@ def test_phantom_grid_uses_requested_voxel_size():
         {"kind": "disk_set", "size": (8, 8), "value_range": (math.nan, 0.06)},
         {"kind": "disk_set", "size": (8, 8), "voxel_size": math.inf},
         {"kind": "disk_set", "size": (8, 8), "voxel_size": math.nan},
+        {"kind": "disk_set", "size": (8.5, 8)},
+        {"kind": "disk_set", "size": (8, True)},
+        {"kind": "disk_set", "size": (8, 8), "seed": 1.5},
+        {"kind": "disk_set", "size": (8, 8), "seed": -3},
+        {"kind": "disk_set", "size": (8, 8), "voxel_size": True},
+        {"kind": "disk_set", "size": (8, 8), "value_range": (0.0, True)},
     ],
 )
 def test_phantom_spec_rejects_bad_values(kwargs):
@@ -186,6 +202,8 @@ def test_poisson_noise_vanishes_at_high_flux():
         {"kind": "gaussian", "sigma": math.inf},
         {"kind": "poisson", "i0": math.inf},
         {"kind": "poisson", "i0": math.nan},
+        {"kind": "gaussian", "sigma": True},
+        {"kind": "poisson", "i0": True},
     ],
 )
 def test_noise_model_rejects_bad_values(kwargs):

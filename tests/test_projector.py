@@ -273,6 +273,9 @@ def test_op_norm_degenerate_single_ray():
     geom = make_fan_geometry(1, 1, 100.0, 100.0)
     est = op_norm_estimate(geom, grid, 10)
     assert est == pytest.approx(2.0, rel=1e-12)
+    for n_power_iters in (0, 1.5, True):
+        with pytest.raises(ValueError, match="n_power_iters"):
+            op_norm_estimate(geom, grid, n_power_iters)
 
 
 def test_op_norm_monotone_in_iterations():

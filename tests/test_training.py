@@ -763,6 +763,12 @@ def test_datasets_are_validated():
         ({"eps": math.inf}, "eps"),
         ({"init_window": "shepp-logan"}, "init_window"),
         ({"clip_norm": math.inf}, "clip_norm"),
+        ({"seed": -1}, "seed"),
+        ({"epochs": 2.0}, "epochs"),
+        ({"lr_net": True}, "lr_net"),
+        ({"gamma_init": True}, "gamma_init"),
+        ({"beta1": False}, "beta1"),
+        ({"clip_norm": True}, "clip_norm"),
     ],
 )
 def test_train_config_rejects_bad_values(kwargs, field):
