@@ -23,8 +23,6 @@ import time
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .classical import IterConfig, sirt, tv_reconstruct
 from .dataio import (
@@ -53,7 +51,6 @@ from .metrics import compute_metrics
 from .network import NetArch, init_params
 from .ode import OdeConfig, reconstruct_node
 from .phantoms import NoiseModel, PhantomSpec, make_phantom, simulate_measurement
-from .projector import Volume
 from .training import TrainConfig, fov_mask, load_checkpoint, save_checkpoint, train
 
 logger = logging.getLogger(__name__)
@@ -126,10 +123,6 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
 
     truth = make_phantom(spec)
-    if truth.values.ndim != len(geom.detector_shape) + 1:
-        raise ShapeMismatchError(
-            f"{spec.kind} is {truth.values.ndim}D but the geometry is {geom.kind} beam"
-        )
     p = simulate_measurement(truth, geom, noise, seed=seed)
 
     save_volume(out / "phantom.ctv", truth)
@@ -231,16 +224,11 @@ def cmd_reconstruct(args) -> int:
 
     recon_name = f"recon_{args.method}.ctv"
     save_volume(out / recon_name, recon)
-    # metrics describe the artifact on disk, so round through its f32 payload
-    recon = Volume(grid, recon.values.astype("<f4").astype(np.float64))
+    # metrics describe the artifact on disk
+    recon = load_volume(out / recon_name)
 
     outputs = {"reconstruction": recon_name}
     if reference is not None:
-        if reference.values.shape != recon.values.shape:
-            raise ShapeMismatchError(
-                f"reference shape {reference.values.shape} does not match "
-                f"reconstruction shape {recon.values.shape}"
-            )
         mask = None if args.no_fov_mask else fov_mask(grid, p.geom)
         report = {"method": args.method}
         report.update(compute_metrics(recon, reference, mask))

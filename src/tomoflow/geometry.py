@@ -108,7 +108,9 @@ class _Scan:
             value = _real(name, getattr(self, name), error=InvalidGeometryError, **bound)
             object.__setattr__(self, name, value)
         rng = self.angular_range
-        start, end = (_real("angular_range", a, error=InvalidGeometryError) for a in rng[:2])
+        if len(rng) != 2:
+            raise InvalidGeometryError(f"angular_range must be (start, end), got {rng!r}")
+        start, end = (_real("angular_range", a, error=InvalidGeometryError) for a in rng)
         if end <= start:
             raise InvalidGeometryError(
                 f"angular_range must satisfy end > start, got ({start}, {end})"
@@ -267,6 +269,5 @@ def geometry_from_dict(doc: dict) -> Geometry:
         }
     except KeyError as exc:
         raise InvalidGeometryError(f"geometry document missing field {exc}") from exc
-    rng = values["angular_range"]
-    values["angular_range"] = (math.radians(rng[0]), math.radians(rng[1]))
+    values["angular_range"] = tuple(math.radians(a) for a in values["angular_range"])
     return cls(**values)

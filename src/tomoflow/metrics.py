@@ -19,33 +19,40 @@ SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 
 
-def _mask_array(mask, shape) -> np.ndarray:
+def _masked_pair(a, b, mask):
+    """The values of a and b, which must agree in shape, and the boolean mask."""
+    av, bv = _values(a), _values(b)
+    if av.shape != bv.shape:
+        raise ValueError(f"shape mismatch: {av.shape} vs {bv.shape}")
     if mask is None:
-        return np.ones(shape, dtype=bool)
+        return av, bv, np.ones(av.shape, dtype=bool)
     m = _values(mask).astype(bool)
-    if m.shape != shape:
-        raise ValueError(f"mask shape {m.shape} does not match volume shape {shape}")
+    if m.shape != av.shape:
+        raise ValueError(f"mask shape {m.shape} does not match volume shape {av.shape}")
     if not m.any():
         raise ValueError("mask selects no voxels")
-    return m
+    return av, bv, m
 
 
 def rmse(a, b, mask=None) -> float:
     """Root mean squared difference over masked voxels."""
-    av, bv = _values(a), _values(b)
-    if av.shape != bv.shape:
-        raise ValueError(f"shape mismatch: {av.shape} vs {bv.shape}")
-    m = _mask_array(mask, av.shape)
+    av, bv, m = _masked_pair(a, b, mask)
     diff = av[m] - bv[m]
     return float(np.sqrt(np.mean(diff * diff)))
+
+
+def _data_range(reference: np.ndarray, data_range) -> float:
+    """data_range, by default the reference maximum; it must be > 0."""
+    rng = float(np.max(reference)) if data_range is None else float(data_range)
+    if not rng > 0:
+        raise ValueError(f"data_range must be > 0, got {rng}")
+    return rng
 
 
 def psnr(a, b, mask=None, data_range=None) -> float:
     """20 log10(data_range / rmse); infinity when the volumes match."""
     err = rmse(a, b, mask)
-    rng = float(np.max(_values(b))) if data_range is None else float(data_range)
-    if not rng > 0:
-        raise ValueError(f"data_range must be > 0, got {rng}")
+    rng = _data_range(_values(b), data_range)
     if err == 0.0:
         return math.inf
     return 20.0 * math.log10(rng / err)
@@ -71,13 +78,8 @@ def _smooth(arr: np.ndarray, taps: np.ndarray) -> np.ndarray:
 
 def ssim(a, b, mask=None, data_range=None) -> float:
     """Mean local structural similarity over window centers in the mask."""
-    av, bv = _values(a), _values(b)
-    if av.shape != bv.shape:
-        raise ValueError(f"shape mismatch: {av.shape} vs {bv.shape}")
-    m = _mask_array(mask, av.shape)
-    rng = float(np.max(bv)) if data_range is None else float(data_range)
-    if not rng > 0:
-        raise ValueError(f"data_range must be > 0, got {rng}")
+    av, bv, m = _masked_pair(a, b, mask)
+    rng = _data_range(bv, data_range)
     c1 = (0.01 * rng) ** 2
     c2 = (0.03 * rng) ** 2
     taps = _gaussian_taps(SSIM_WINDOW, SSIM_SIGMA)

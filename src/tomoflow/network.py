@@ -58,7 +58,7 @@ the network's convs, and for the parity conv whatever its windows need.
 Parameters live in per-kind tensor lists (kernels and biases) and flatten
 to a single vector, the one the optimizer and the checkpoint format use.  Its
 order is written once, in _layout: per conv, kernel then bias.  from_flat,
-flatten, init_params and the VJP's gradient all walk it.
+flatten, init_params and the VJP, whose gradient is one such vector, walk it.
 """
 
 from __future__ import annotations
@@ -181,13 +181,18 @@ class NetParams:
             raise ShapeMismatchError(
                 f"parameter vector has {vec.size} entries, architecture needs {needed}"
             )
-        lists = {}
-        pos = 0
-        for name, shape in _layout(arch):
-            size = math.prod(shape)
-            lists.setdefault(name, []).append(vec[pos : pos + size].reshape(shape))
-            pos += size
-        return cls(arch, **lists)
+        return cls(arch, **_tensor_views(arch, vec))
+
+
+def _tensor_views(arch: NetArch, vec: np.ndarray) -> dict[str, list[np.ndarray]]:
+    """The NetParams lists, by name, as views of the flat vector vec."""
+    lists = {}
+    pos = 0
+    for name, shape in _layout(arch):
+        size = math.prod(shape)
+        lists.setdefault(name, []).append(vec[pos : pos + size].reshape(shape))
+        pos += size
+    return lists
 
 
 def init_params(arch: NetArch, seed: int) -> NetParams:
@@ -617,10 +622,12 @@ def net_apply_array(params: NetParams, x: np.ndarray):
 
 
 def net_vjp_array(params: NetParams, tape, gy: np.ndarray):
-    """Backward pass from a forward tape: returns (grad NetParams, grad input)."""
+    """Backward pass from a forward tape: returns (parameter gradient as one
+    flat float64 vector in NetParams.flatten order, input gradient)."""
     arch = params.arch
     levels = arch.n_levels
-    grads = NetParams.from_flat(arch, np.zeros(_n_params(arch)))
+    grad = np.zeros(_n_params(arch))
+    grads = NetParams(arch, **_tensor_views(arch, grad))
 
     def block_backward(g, idx):
         """(input gradient, skip gradient or None) of block idx."""
@@ -656,7 +663,7 @@ def net_vjp_array(params: NetParams, tape, gy: np.ndarray):
         g, _ = block_backward(gskip, idx)
         idx -= 1
 
-    return grads, g[0]
+    return grad, g[0]
 
 
 # ---------------------------------------------------------------------------

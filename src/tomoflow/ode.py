@@ -15,10 +15,12 @@ method: the augmented system
     dg_gamma/dt = -(df/dgamma)^T a
 
 is integrated from T down to 0 by the same RK4 step (_rk4_step, which both
-solvers call) with step -h, yielding a(0) = dL/dx0, g_theta(0) = dL/dtheta,
-g_gamma(0) = dL/dgamma.  No forward trajectory is stored: the working set is
-a fixed handful of volume-sized buffers (3 forward, 6 backward) regardless of
-S, which an AllocationProbe can count.  The price of recomputation is a small
+solvers call) with step -h and the dynamics' own config, yielding a(0) =
+dL/dx0, g_theta(0) = dL/dtheta (one flat vector in NetParams.flatten order,
+from the network VJP's rates to Adam) and g_gamma(0) = dL/dgamma.  No
+forward trajectory is stored: the working set is a fixed handful of
+volume-sized buffers (3 forward, 6 backward) regardless of S, which an
+AllocationProbe can count.  The price of recomputation is a small
 reversibility error, measurable by comparing the recovered x(0) against the
 true initializer.
 
@@ -275,33 +277,31 @@ class NodeDynamics:
         fx, dc, tape = self._rates(x)
         gtheta, gx_net = net_vjp_array(self.params, tape, a)
         fa = lam * (gamma * self.op.adjoint(self.op.forward(a)) + mu * gx_net)
-        rate_theta = lam * mu * gtheta.flatten()
+        rate_theta = lam * mu * gtheta
         rate_gamma = lam * float(dc.ravel() @ a.ravel())
         return fx, fa, rate_theta, rate_gamma
 
 
 @dataclass
 class AdjointResult:
-    """Gradients from the backward pass, plus recomputation diagnostics."""
+    """Gradients from the backward pass (grad_theta is flat, in
+    NetParams.flatten order), plus recomputation diagnostics."""
 
     grad_x0: Volume
-    grad_params: NetParams
+    grad_theta: np.ndarray
     grad_gamma: float
     x0_recovered: Volume
     n_evals: int
 
 
-def adjoint_backward(
-    f: NodeDynamics, x_T: Volume, dL_dxT: Volume, cfg: OdeConfig, probe=None
-) -> AdjointResult:
+def adjoint_backward(f: NodeDynamics, x_T: Volume, dL_dxT: Volume, probe=None) -> AdjointResult:
     """Adjoint sensitivity method: integrate the augmented system T -> 0.
 
-    f must be the NodeDynamics the forward solve used, with the same config;
-    x_T its output.  Memory: six volume-sized working buffers regardless of
-    the step count (the parameter-gradient accumulators are parameter-sized).
+    f is the NodeDynamics of the forward solve, whose config f.cfg the pass
+    integrates with, and x_T its output.  Memory: six volume-sized working
+    buffers regardless of the step count (the gradient accumulators are
+    parameter-sized).
     """
-    if f.cfg != cfg:
-        raise ValueError("adjoint_backward config does not match the dynamics config")
     if x_T.values.shape != dL_dxT.values.shape:
         raise ValueError("dL_dxT shape does not match x_T")
     alloc = probe if probe is not None else _NULL_PROBE
@@ -316,21 +316,21 @@ def adjoint_backward(
     # g), so only the x and a work buffers are volume-sized probe allocations
     stage = [alloc.new(shape), alloc.new(shape)] + [np.empty_like(g) for g in ys[2:]]
     acc = [alloc.new(shape), alloc.new(shape)] + [np.empty_like(g) for g in ys[2:]]
-    h = cfg.step_size
+    h = f.cfg.step_size
 
     def rates(zs, t):
         return f.aug(zs[0], zs[1])
 
-    for step in reversed(range(cfg.n_steps)):
+    for step in reversed(range(f.cfg.n_steps)):
         _rk4_step(rates, ys, (step + 1) * h, -h, stage, acc, step)
 
     grid = x_T.grid
     return AdjointResult(
         grad_x0=Volume(grid, a),
-        grad_params=NetParams.from_flat(f.params.arch, ys[2]),
+        grad_theta=ys[2],
         grad_gamma=float(ys[3]),
         x0_recovered=Volume(grid, x),
-        n_evals=4 * cfg.n_steps,
+        n_evals=4 * f.cfg.n_steps,
     )
 
 

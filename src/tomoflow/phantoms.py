@@ -9,7 +9,7 @@ values inside the configured range, default 0 to 0.06 per mm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,6 +22,8 @@ PHANTOM_KINDS_3D = ("nested_shells_3d", "walnut_like_3d")
 PHANTOM_KINDS = PHANTOM_KINDS_2D + PHANTOM_KINDS_3D
 
 NOISE_KINDS = ("none", "gaussian", "poisson")
+# the one noise kind that reads each NoiseModel field; others keep its default
+_NOISE_READERS = {"sigma": "gaussian", "i0": "poisson"}
 
 # Standard Shepp-Logan ellipse table: (a, b, x0, y0, angle_deg, intensity).
 SHEPP_LOGAN_ELLIPSES = (
@@ -178,6 +180,11 @@ class NoiseModel:
             raise ValueError(f"unknown noise kind {self.kind!r}; expected one of {NOISE_KINDS}")
         object.__setattr__(self, "sigma", _real("sigma", self.sigma, ge=0.0))
         object.__setattr__(self, "i0", _real("i0", self.i0, gt=0.0))
+        for f in fields(self):
+            reader = _NOISE_READERS.get(f.name, self.kind)
+            if reader != self.kind and getattr(self, f.name) != f.default:
+                raise ValueError(f"{f.name} is read by {reader} noise only; {self.kind} "
+                                 f"noise keeps its default {f.name} = {f.default}")
 
 
 def simulate_measurement(x: Volume, geom, noise: NoiseModel, seed: int = 0) -> Sinogram:

@@ -54,6 +54,16 @@ def get_default_threads() -> int:
     return 1
 
 
+def _shaped(values, shape: tuple[int, ...], kind: str, what: str) -> np.ndarray:
+    """values as a float64 array of shape; only a flat one of its size is reshaped."""
+    vals = np.asarray(values, dtype=np.float64)
+    if vals.shape == shape:
+        return vals
+    if vals.ndim == 1 and vals.size == math.prod(shape):
+        return vals.reshape(shape)
+    raise ShapeMismatchError(f"{kind} values shape {vals.shape} does not match {what} {shape}")
+
+
 @dataclass
 class Volume:
     """A 2D or 3D scalar attenuation field (mm^-1) on a regular grid.
@@ -66,16 +76,7 @@ class Volume:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != self.grid.shape:
-            if vals.ndim == 1 and vals.size == self.grid.n_voxels:
-                vals = vals.reshape(self.grid.shape)
-            else:
-                raise ShapeMismatchError(
-                    f"volume values shape {vals.shape} does not match "
-                    f"grid shape {self.grid.shape}"
-                )
-        self.values = vals
+        self.values = _shaped(self.values, self.grid.shape, "volume", "grid shape")
 
     @classmethod
     def zeros(cls, grid: VolumeGrid) -> "Volume":
@@ -103,16 +104,7 @@ class Sinogram:
 
     def __post_init__(self):
         expected = (self.geom.n_angles,) + self.geom.detector_shape
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != expected:
-            if vals.ndim == 1 and vals.size == int(np.prod(expected)):
-                vals = vals.reshape(expected)
-            else:
-                raise ShapeMismatchError(
-                    f"sinogram values shape {vals.shape} does not match "
-                    f"geometry layout {expected}"
-                )
-        self.values = vals
+        self.values = _shaped(self.values, expected, "sinogram", "geometry layout")
 
     @classmethod
     def zeros(cls, geom: Geometry) -> "Sinogram":
@@ -318,7 +310,7 @@ def back_project_array(p_values: np.ndarray, grid: VolumeGrid, geom: Geometry) -
 def _check_dims(geom: Geometry, grid: VolumeGrid):
     if geom.ndim != grid.ndim:
         raise ShapeMismatchError(
-            f"{geom.ndim}D geometry cannot project a {grid.ndim}D grid"
+            f"a {geom.kind} scan is {geom.ndim}D and does not fit a {grid.ndim}D grid"
         )
 
 

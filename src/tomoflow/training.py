@@ -55,7 +55,7 @@ from .network import (
 )
 from .ode import NodeDynamics, OdeConfig, adjoint_backward, initial_volume, rk4_solve
 from .ode import reconstruct_node
-from .projector import Sinogram, Volume, _values
+from .projector import Sinogram, Volume, _check_dims, _values
 
 logger = logging.getLogger(__name__)
 
@@ -84,6 +84,7 @@ def fov_mask(grid: VolumeGrid, geom) -> Volume:
     else:
         if not isinstance(geom, Geometry):
             raise TypeError(f"unsupported geometry type {type(geom).__name__}")
+        _check_dims(geom, grid)
         width = geom.detector_shape[-1] * geom.detector_pixel_size
         half_fan = math.atan2(width / 2.0, geom.source_distance + geom.detector_distance)
         r_geom = geom.source_distance * math.sin(half_fan)
@@ -288,8 +289,8 @@ def _sample_loss_and_grads(p, target, params, gamma, ode_cfg, window, mask):
     x_T, _ = rk4_solve(dyn, x0, ode_cfg)
     loss = l1_fov_loss(x_T, target, mask)
     dL = _l1_fov_grad(x_T.values, target.values, mask.values)
-    res = adjoint_backward(dyn, x_T, Volume(target.grid, dL), ode_cfg)
-    return loss, res.grad_params.flatten(), res.grad_gamma
+    res = adjoint_backward(dyn, x_T, Volume(target.grid, dL))
+    return loss, res.grad_theta, res.grad_gamma
 
 
 def _val_loss(p, target, params, gamma, ode_cfg, window, mask):

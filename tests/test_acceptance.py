@@ -164,8 +164,8 @@ def test_criterion_05_adjoint_gradients_match_finite_differences():
     dyn = NodeDynamics(p, grid, NetParams.from_flat(arch, theta), gamma, cfg)
     x_t, _ = rk4_solve(dyn, initial_volume(p, grid, window="hann"), cfg)
     cotangent = np.sign(x_t.values - target.values) * mask.values / mask.values.sum()
-    res = adjoint_backward(dyn, x_t, Volume(grid, cotangent), cfg)
-    g_theta = res.grad_params.flatten()
+    res = adjoint_backward(dyn, x_t, Volume(grid, cotangent))
+    g_theta = res.grad_theta
 
     h = 1e-6
     worst_theta = 0.0
@@ -196,7 +196,7 @@ def test_criterion_06_memory_independent_of_step_count():
         fw = AllocationProbe()
         x_t, _ = rk4_solve(dyn, initial_volume(p, grid), cfg, probe=fw)
         bw = AllocationProbe()
-        adjoint_backward(dyn, x_t, Volume(grid, np.ones(grid.shape)), cfg, probe=bw)
+        adjoint_backward(dyn, x_t, Volume(grid, np.ones(grid.shape)), probe=bw)
         peaks[n_steps] = (fw.peak, bw.peak)
     record(6, peaks[20] == peaks[200],
            f"peak buffers forward/backward {peaks[20]} at 20 steps, {peaks[200]} at 200")

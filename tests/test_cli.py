@@ -20,7 +20,8 @@ import pytest
 
 from tomoflow import __version__
 from tomoflow.cli import main
-from tomoflow.dataio import save_sinogram, save_volume
+from tomoflow.dataio import load_sinogram, save_sinogram, save_volume
+from tomoflow.errors import DataFormatError
 from tomoflow.geometry import VolumeGrid, make_fan_geometry
 from tomoflow.network import NetArch, init_params, save_net_params
 from tomoflow.phantoms import NoiseModel, PhantomSpec, make_phantom, simulate_measurement
@@ -217,6 +218,32 @@ def test_simulate_rejects_fractional_counts(tmp_path, capsys, section, field, va
     cfg = write_config(tmp_path / "sim.json", doc)
     assert cli("simulate", "--config", cfg, "--out", tmp_path / "scan") == 2
     assert f"{field} must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "scan" / "sinogram.cts").exists()
+
+
+@pytest.mark.parametrize("angular_range", [[0], [], [0, 90, 360]], ids=["one", "none", "three"])
+def test_simulate_rejects_angular_range_of_wrong_length(tmp_path, capsys, angular_range):
+    # before, [0] and [] crashed with an IndexError traceback (exit 1), and
+    # [0, 90, 360] scanned 0 to 90 degrees and exited 0
+    geometry = dict(FAN_SCAN_CONFIG["geometry"], angular_range=angular_range)
+    cfg = write_config(tmp_path / "sim.json", dict(FAN_SCAN_CONFIG, geometry=geometry))
+    assert cli("simulate", "--config", cfg, "--out", tmp_path / "scan") == 2
+    assert "angular_range" in capsys.readouterr().err
+    assert not (tmp_path / "scan" / "sinogram.cts").exists()
+
+
+@pytest.mark.parametrize(
+    "noise, field",
+    [({"kind": "none", "sigma": 0.5}, "sigma"), ({"kind": "gaussian", "sigma": 0.1, "i0": 1e4}, "i0")],
+    ids=["none-sigma", "gaussian-i0"],
+)
+def test_simulate_rejects_noise_fields_the_kind_does_not_read(tmp_path, capsys, noise, field):
+    # before, a "none" scan with sigma 0.5 was noiseless, exited 0 and
+    # recorded the sigma in its manifest
+    cfg = write_config(tmp_path / "sim.json", dict(FAN_SCAN_CONFIG, noise=noise))
+    assert cli("simulate", "--config", cfg, "--out", tmp_path / "scan") == 2
+    err = capsys.readouterr().err
+    assert "noise" in err and field in err
     assert not (tmp_path / "scan" / "sinogram.cts").exists()
 
 
@@ -448,6 +475,25 @@ def test_sinogram_sidecar_non_finite_geometry_exits_3(fan_scan, tmp_path, capsys
     assert code == 3
     err = capsys.readouterr().err
     assert "sinogram.cts.json" in err and "detector_distance" in err
+    assert not (tmp_path / "out" / "recon_fbp.ctv").exists()
+
+
+def test_sinogram_sidecar_angular_range_of_three_entries_exits_3(fan_scan, tmp_path, capsys):
+    # before, the sidecar's third entry was dropped without a word
+    sino = tmp_path / "sinogram.cts"
+    sino.write_bytes((fan_scan / "sinogram.cts").read_bytes())
+    doc = json.loads((fan_scan / "sinogram.cts.json").read_text())
+    doc["geometry"]["angular_range"] = [0.0, 180.0, 360.0]
+    (tmp_path / "sinogram.cts.json").write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match="angular_range"):
+        load_sinogram(sino)
+    code = cli(
+        "reconstruct", "--method", "fbp", "--sinogram", sino,
+        "--grid-shape", "32,32", "--out", tmp_path / "out",
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "sinogram.cts.json" in err and "angular_range" in err
     assert not (tmp_path / "out" / "recon_fbp.ctv").exists()
 
 
@@ -820,6 +866,23 @@ def test_eval_shape_mismatch_exits_3(fan_scan, tmp_path, capsys):
     )
     assert code == 3
     assert "does not match" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("volumes, scan", [("fan", "cone"), ("cone", "fan")])
+def test_eval_rejects_a_scan_of_the_wrong_dimension(
+    fan_scan, cone_scan, tmp_path, capsys, volumes, scan
+):
+    # before, 2D volumes with a cone scan exited 0, scored inside a mask
+    # built from the cone's detector
+    vol = {"fan": fan_scan, "cone": cone_scan}[volumes] / "phantom.ctv"
+    code = cli(
+        "eval", "--reconstruction", vol, "--reference", vol,
+        "--sinogram", {"fan": fan_scan, "cone": cone_scan}[scan] / "sinogram.cts",
+        "--out", tmp_path / "ev",
+    )
+    assert code == 3
+    assert f"{scan} scan" in capsys.readouterr().err
+    assert not (tmp_path / "ev" / "metrics.json").exists()
 
 
 def test_fov_mask_excludes_corners(tmp_path):

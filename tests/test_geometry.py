@@ -63,6 +63,9 @@ def test_full_turn_excludes_end_angle():
         {"source_distance": True},
         {"detector_pixel_size": True},
         {"angular_range": (0.0, True)},
+        {"angular_range": (0.0, 1.0, 7.0)},
+        {"angular_range": (1.0,)},
+        {"angular_range": ()},
     ],
 )
 def test_fan_rejects_bad_arguments(kwargs):

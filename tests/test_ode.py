@@ -225,7 +225,7 @@ def test_adjoint_matches_textbook_backward_rk4_loop():
     dyn = NodeDynamics(p, grid, params, 0.01, cfg)
     x_T, _ = rk4_solve(dyn, initial_volume(p, grid).values.copy(), cfg)
 
-    result = adjoint_backward(dyn, Volume(grid, x_T), Volume(grid, x_T - truth), cfg)
+    result = adjoint_backward(dyn, Volume(grid, x_T), Volume(grid, x_T - truth))
 
     x, a = x_T.copy(), x_T - truth
     g_theta, g_gamma = np.zeros(params.n_params), 0.0
@@ -241,7 +241,7 @@ def test_adjoint_matches_textbook_backward_rk4_loop():
         )
     np.testing.assert_allclose(result.x0_recovered.values, x, rtol=1e-12, atol=1e-16)
     np.testing.assert_allclose(result.grad_x0.values, a, rtol=1e-12, atol=1e-16)
-    np.testing.assert_allclose(result.grad_params.flatten(), g_theta, rtol=1e-12, atol=1e-16)
+    np.testing.assert_allclose(result.grad_theta, g_theta, rtol=1e-12, atol=1e-16)
     assert result.grad_gamma == pytest.approx(g_gamma, rel=1e-12)
 
 
@@ -265,7 +265,7 @@ def test_adjoint_divergence_reports_failing_backward_step():
 
     dyn.aug = failing_aug
     with pytest.raises(DivergenceError) as excinfo:
-        adjoint_backward(dyn, Volume(grid, x_T), Volume(grid, x_T - truth), cfg)
+        adjoint_backward(dyn, Volume(grid, x_T), Volume(grid, x_T - truth))
     assert excinfo.value.step_index == cfg.n_steps - 4  # steps count down
     assert 0.0 < excinfo.value.max_abs < np.inf
     assert n_calls == 3 * 4 + 2
@@ -371,9 +371,7 @@ def test_adjoint_gradients_match_finite_differences():
     dyn = NodeDynamics(p, grid, params, gamma, cfg)
     x_T, _ = rk4_solve(dyn, x0.values.copy(), cfg)
 
-    result = adjoint_backward(
-        dyn, Volume(grid, x_T), Volume(grid, x_T - truth), cfg
-    )
+    result = adjoint_backward(dyn, Volume(grid, x_T), Volume(grid, x_T - truth))
     theta = params.flatten()
     h = 1e-6
 
@@ -382,7 +380,7 @@ def test_adjoint_gradients_match_finite_differences():
     fd_gamma = (loss(theta, gamma + h) - loss(theta, gamma - h)) / (2.0 * h)
     assert abs(fd_gamma - result.grad_gamma) < 1e-6 * abs(fd_gamma)
 
-    grad_theta = result.grad_params.flatten()
+    grad_theta = result.grad_theta
     for k in range(3):
         d = np.random.default_rng(40 + k).normal(0.0, 1.0, theta.size)
         fd = (loss(theta + h * d, gamma) - loss(theta - h * d, gamma)) / (2.0 * h)
@@ -396,7 +394,7 @@ def test_adjoint_input_gradient_matches_finite_differences():
     dyn = NodeDynamics(p, grid, params, 0.01, cfg)
     x0 = initial_volume(p, grid)
     x_T, _ = rk4_solve(dyn, x0.values.copy(), cfg)
-    result = adjoint_backward(dyn, Volume(grid, x_T), Volume(grid, x_T - truth), cfg)
+    result = adjoint_backward(dyn, Volume(grid, x_T), Volume(grid, x_T - truth))
 
     def loss(x0v):
         out, _ = rk4_solve(dyn, x0v.copy(), cfg)
@@ -415,9 +413,7 @@ def test_adjoint_recovers_the_initial_state():
     dyn = NodeDynamics(p, grid, params, 0.01, cfg)
     x0 = initial_volume(p, grid)
     x_T, _ = rk4_solve(dyn, x0.values.copy(), cfg)
-    result = adjoint_backward(
-        dyn, Volume(grid, x_T), Volume(grid, np.zeros((8, 8))), cfg
-    )
+    result = adjoint_backward(dyn, Volume(grid, x_T), Volume(grid, np.zeros((8, 8))))
     assert np.max(np.abs(result.x0_recovered.values - x0.values)) < 1e-9
     assert result.n_evals == 80
 
@@ -427,26 +423,20 @@ def test_adjoint_zero_cotangent_gives_zero_gradients():
     cfg = OdeConfig()
     dyn = NodeDynamics(p, grid, params, 0.01, cfg)
     x_T, _ = rk4_solve(dyn, initial_volume(p, grid).values.copy(), cfg)
-    result = adjoint_backward(
-        dyn, Volume(grid, x_T), Volume(grid, np.zeros((8, 8))), cfg
-    )
+    result = adjoint_backward(dyn, Volume(grid, x_T), Volume(grid, np.zeros((8, 8))))
     assert result.grad_gamma == 0.0
-    assert np.array_equal(result.grad_params.flatten(), np.zeros(dyn.params.n_params))
+    assert np.array_equal(result.grad_theta, np.zeros(dyn.params.n_params))
     assert np.array_equal(result.grad_x0.values, np.zeros((8, 8)))
 
 
-def test_adjoint_rejects_mismatched_config_and_shapes():
+def test_adjoint_rejects_mismatched_shapes():
     grid, geom, truth, p, params = small_problem()
     cfg = OdeConfig()
     dyn = NodeDynamics(p, grid, params, 0.01, cfg)
     x_T, _ = rk4_solve(dyn, initial_volume(p, grid).values.copy(), cfg)
-    with pytest.raises(ValueError):
-        adjoint_backward(
-            dyn, Volume(grid, x_T), Volume(grid, x_T), OdeConfig(step_size=0.1)
-        )
     small = VolumeGrid((4, 4), 1.0)
     with pytest.raises(ValueError):
-        adjoint_backward(dyn, Volume(grid, x_T), Volume(small, np.zeros((4, 4))), cfg)
+        adjoint_backward(dyn, Volume(grid, x_T), Volume(small, np.zeros((4, 4))))
 
 
 # --- memory behavior ---
@@ -461,9 +451,7 @@ def test_working_buffers_do_not_scale_with_step_count():
         fwd_probe = AllocationProbe()
         x_T, _ = rk4_solve(dyn, x0.values.copy(), cfg, probe=fwd_probe)
         bwd_probe = AllocationProbe()
-        adjoint_backward(
-            dyn, Volume(grid, x_T), Volume(grid, x_T - truth), cfg, probe=bwd_probe
-        )
+        adjoint_backward(dyn, Volume(grid, x_T), Volume(grid, x_T - truth), probe=bwd_probe)
         peaks[label] = (fwd_probe.peak, bwd_probe.peak)
 
     assert peaks["short"] == (3, 6)

@@ -211,6 +211,18 @@ def test_noise_model_rejects_bad_values(kwargs):
         NoiseModel(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [("none", "sigma", 0.5), ("poisson", "sigma", 0.1), ("none", "i0", 1e4), ("gaussian", "i0", 1e4)],
+)
+def test_noise_model_rejects_fields_its_kind_does_not_read(kind, field, value):
+    # before, NoiseModel("none", sigma=0.5) simulated a noiseless scan
+    with pytest.raises(ValueError, match=field):
+        NoiseModel(kind, **{field: value})
+    # the default, given explicitly, changes nothing and is accepted
+    NoiseModel(kind, **{field: getattr(NoiseModel(), field)})
+
+
 # --- metrics ---
 
 
